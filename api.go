@@ -135,10 +135,9 @@ func ConjunctiveGlobal(local Cond, n int) Cond { return core.ConjunctiveGlobal(l
 
 // Generators for world activity.
 type (
-	Toggler       = world.Toggler
-	RandomWalk    = world.RandomWalk
-	PoissonPulses = world.PoissonPulses
-	CovertRule    = world.CovertRule
+	Toggler    = world.Toggler
+	RandomWalk = world.RandomWalk
+	CovertRule = world.CovertRule
 )
 
 // TrueIntervals computes ground-truth predicate-true intervals of a world

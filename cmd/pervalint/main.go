@@ -2,8 +2,9 @@
 // loads and type-checks every package in the module with only the
 // standard library (go/parser + go/types; no x/tools) and runs the
 // project-specific analyzers that enforce the determinism, clock-rule,
-// fast-path, goroutine-hygiene, atomics, hot-path-allocation and
-// codec-pairing invariants over a module-wide call graph (DESIGN.md §1.8).
+// fast-path, goroutine-hygiene, atomics, hot-path-allocation,
+// codec-pairing and dead-code invariants over a module-wide call graph
+// (DESIGN.md §1.8).
 //
 // Usage:
 //

@@ -10,14 +10,14 @@ import (
 	"testing"
 )
 
-// TestListAnalyzers smoke-tests the -list flag: all eight analyzers
+// TestListAnalyzers smoke-tests the -list flag: all nine analyzers
 // must be advertised.
 func TestListAnalyzers(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"determinism", "determtaint", "clockrule", "fastpath", "hotpath", "codecpair", "goroutine", "atomics"} {
+	for _, name := range []string{"determinism", "determtaint", "clockrule", "fastpath", "hotpath", "codecpair", "goroutine", "atomics", "deadcode"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}

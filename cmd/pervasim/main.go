@@ -105,6 +105,9 @@ func main() {
 	installFaults := func(h *core.Harness) {
 		harness = h
 		if plan != nil {
+			if err := plan.Validate(h.Cfg.N); err != nil {
+				fatal(fmt.Errorf("-faults: %w", err))
+			}
 			h.InstallFaults(plan)
 		}
 	}
@@ -193,6 +196,9 @@ func main() {
 		extra = fmt.Sprintf("spec: %s — %d generators over %d objects, %d workload events\npredicate: %s",
 			*specPath, len(sp.Gens), len(sr.Objects), len(sr.Events), sp.Predicate)
 	case "scale":
+		if err := plan.Validate(*sensors); err != nil {
+			fatal(fmt.Errorf("-faults: %w", err))
+		}
 		sc := scenario.NewScale(scenario.ScaleConfig{
 			Seed: *seed, N: *sensors, Shards: *shards, Workers: *workers,
 			Delay: delay, Horizon: hz, DenseClocks: *denseClocks,

@@ -69,9 +69,6 @@ type Advice struct {
 	Summary string
 }
 
-// Best returns the top option.
-func (a Advice) Best() Option { return a.Options[0] }
-
 // Advise applies the paper's criteria to the deployment.
 func Advise(d Deployment) Advice {
 	if d.N <= 0 {

@@ -15,8 +15,8 @@ func TestUrbanWithSyncPrefersPhysical(t *testing.T) {
 		SyncAvailable: true, SyncAffordable: true,
 		SyncEpsilon: 100 * sim.Microsecond, MinOverlap: 50 * sim.Millisecond,
 	})
-	if a.Best().Kind != core.PhysicalReport {
-		t.Fatalf("best = %v; synchronized clocks should win when available and affordable", a.Best().Kind)
+	if a.Options[0].Kind != core.PhysicalReport {
+		t.Fatalf("best = %v; synchronized clocks should win when available and affordable", a.Options[0].Kind)
 	}
 }
 
@@ -26,11 +26,11 @@ func TestWildTerrainPrefersVectorStrobes(t *testing.T) {
 		N: 5, MeanEventGap: 2 * sim.Minute, Delta: 2 * sim.Second,
 		SyncAvailable: false, NeedRaceFlagging: true,
 	})
-	if a.Best().Kind != core.VectorStrobe {
-		t.Fatalf("best = %v; the wild is the strobe clocks' regime (§6)", a.Best().Kind)
+	if a.Options[0].Kind != core.VectorStrobe {
+		t.Fatalf("best = %v; the wild is the strobe clocks' regime (§6)", a.Options[0].Kind)
 	}
-	if a.Best().Score < 0.9 {
-		t.Fatalf("score %.2f too low for the favourable regime", a.Best().Score)
+	if a.Options[0].Score < 0.9 {
+		t.Fatalf("score %.2f too low for the favourable regime", a.Options[0].Score)
 	}
 	// Physical must be eliminated outright.
 	for _, o := range a.Options {
@@ -45,8 +45,8 @@ func TestTightByteBudgetFavoursScalars(t *testing.T) {
 		N: 64, MeanEventGap: sim.Minute, Delta: 100 * sim.Millisecond,
 		SyncAvailable: false, BytesBudget: 64,
 	})
-	if a.Best().Kind != core.ScalarStrobe {
-		t.Fatalf("best = %v; 64-node vectors blow a 64B budget", a.Best().Kind)
+	if a.Options[0].Kind != core.ScalarStrobe {
+		t.Fatalf("best = %v; 64-node vectors blow a 64B budget", a.Options[0].Kind)
 	}
 }
 
@@ -117,7 +117,7 @@ func TestCrossDomainPenalty(t *testing.T) {
 	private := base
 	private.CrossDomain = true
 	a := Advise(private)
-	if a.Best().Kind == core.PhysicalReport {
+	if a.Options[0].Kind == core.PhysicalReport {
 		t.Fatalf("cross-domain privacy (§3.3 limitation 5) should dethrone physical sync here")
 	}
 }

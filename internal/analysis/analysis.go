@@ -139,6 +139,7 @@ type Module struct {
 	allows    map[string]*allowIndex // import path -> parsed allows
 	taint     *taintResult           // memoized by the determtaint analyzer
 	hot       *hotResult             // memoized by the hotpath analyzer
+	dead      *deadResult            // memoized by the deadcode analyzer
 
 	clockSanct   map[*types.Func]bool    // memoized by clockrule (graph-sanctioned writers)
 	regLookups   map[*types.Func]string  // memoized by fastpath (helpers doing registry lookups)
@@ -217,7 +218,7 @@ type Analyzer struct {
 var allAnalyzers []*Analyzer
 
 func init() {
-	allAnalyzers = []*Analyzer{Determinism, DetermTaint, ClockRule, FastPath, HotPath, CodecPair, Goroutine, Atomics}
+	allAnalyzers = []*Analyzer{Determinism, DetermTaint, ClockRule, FastPath, HotPath, CodecPair, Goroutine, Atomics, DeadCode}
 }
 
 // All returns the full analyzer suite in reporting order.
@@ -254,18 +255,6 @@ func ByName(names string) ([]*Analyzer, error) {
 type Result struct {
 	Diagnostics []Diagnostic
 	Mod         *Module
-}
-
-// RunPackages loads each import path with the loader, runs the given
-// analyzers over it, applies //lint:allow suppression, and reports
-// unused or malformed allow annotations. Diagnostics come back sorted
-// by file, line, column.
-func RunPackages(l *Loader, cfg Config, analyzers []*Analyzer, paths []string) ([]Diagnostic, error) {
-	res, err := Run(l, cfg, analyzers, paths)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
 }
 
 // Run is RunPackages with the whole-program context kept: packages are

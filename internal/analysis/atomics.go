@@ -78,14 +78,14 @@ func collectAtomicFields(info *types.Info, files []*ast.File, out map[types.Obje
 }
 
 // moduleAtomicFields computes (memoized) the atomic-field inventory
-// over every loaded module package.
+// over every package the call graph covers.
 func (m *Module) moduleAtomicFields() map[types.Object]string {
 	if m.atomicFields != nil {
 		return m.atomicFields
 	}
 	out := make(map[types.Object]string)
 	m.atomicFields = out
-	for _, pkg := range m.Loader.Packages() {
+	for _, pkg := range m.Graph.Pkgs {
 		collectAtomicFields(pkg.Info, pkg.Files, out)
 	}
 	return out

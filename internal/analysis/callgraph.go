@@ -34,6 +34,8 @@ type CallGraph struct {
 	// linkage, which the module does not use) are absent.
 	DeclOf map[*types.Func]*ast.FuncDecl
 	PkgOf  map[*types.Func]*Package
+	// Pkgs are the packages the graph was built over, by import path.
+	Pkgs []*Package
 
 	// Stats, for pervalint -graph.
 	NumFuncs        int // module functions with bodies
@@ -70,6 +72,7 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	// Deterministic package order regardless of load order.
 	sorted := append([]*Package(nil), pkgs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ImportPath < sorted[j].ImportPath })
+	g.Pkgs = sorted
 
 	for _, pkg := range sorted {
 		for _, f := range pkg.Files {
@@ -310,17 +313,6 @@ func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
 		}
 	}
 	return seen
-}
-
-// FuncAt returns the module function whose declaration (including its
-// body) spans pos, or nil.
-func (g *CallGraph) FuncAt(pos token.Pos) *types.Func {
-	for fn, fd := range g.DeclOf {
-		if fd.Pos() <= pos && pos <= fd.End() {
-			return fn
-		}
-	}
-	return nil
 }
 
 // FuncDisplay renders fn for diagnostics: "pkg.Func" or

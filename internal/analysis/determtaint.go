@@ -83,7 +83,7 @@ func (m *Module) taintFixpoint() *taintResult {
 
 	// Seed collection, over every loaded module package (not just the
 	// analyzed set: the whole point is seeing helpers elsewhere).
-	for _, pkg := range m.Loader.Packages() {
+	for _, pkg := range m.Graph.Pkgs {
 		inBoundary := contains(m.Config.DeterministicPkgs, pkg.ImportPath)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {

@@ -61,15 +61,68 @@ func TestAnalyzersGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diags, err := RunPackages(loader, fixtureConfig(), All(), tc.pkgs)
+			res, err := Run(loader, fixtureConfig(), withoutDeadCode(), tc.pkgs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, pkg := range tc.pkgs {
 				dir := filepath.Join(root, strings.TrimPrefix(pkg, "fix/"))
-				checkGolden(t, dir, diags)
+				checkGolden(t, dir, res.Diagnostics)
 			}
 		})
+	}
+}
+
+// withoutDeadCode is every analyzer but deadcode: the fixture module has
+// one main, which reaches only package deadcode, so deadcode would flag
+// every other fixture wholesale.
+func withoutDeadCode() []*Analyzer {
+	var out []*Analyzer
+	for _, a := range All() {
+		if a != DeadCode {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestDeadCodeGolden checks the deadcode fixture, and that its findings
+// do not depend on the package patterns: checking fix/deadcode alone must
+// report exactly what checking the whole fixture module reports there.
+func TestDeadCodeGolden(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "deadcode")
+	inDir := func(diags []Diagnostic) []string {
+		var out []string
+		for _, d := range diags {
+			if filepath.Dir(d.File) == dir {
+				out = append(out, d.String())
+			}
+		}
+		return out
+	}
+	single, err := Run(NewLoader(root, "fix"), fixtureConfig(), []*Analyzer{DeadCode}, []string{"fix/deadcode"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, dir, single.Diagnostics)
+
+	loader := NewLoader(root, "fix")
+	paths, err := loader.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := Run(loader, fixtureConfig(), []*Analyzer{DeadCode}, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := inDir(single.Diagnostics), inDir(whole.Diagnostics)
+	if strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Errorf("deadcode depends on the package patterns:\nfix/deadcode alone:\n%s\nwhole module:\n%s",
+			strings.Join(a, "\n"), strings.Join(b, "\n"))
 	}
 }
 
@@ -147,7 +200,7 @@ func TestExplainTaint(t *testing.T) {
 		t.Fatal(err)
 	}
 	loader := NewLoader(root, "fix")
-	res, err := Run(loader, fixtureConfig(), All(), []string{"fix/dtaint", "fix/dthelp"})
+	res, err := Run(loader, fixtureConfig(), withoutDeadCode(), []string{"fix/dtaint", "fix/dthelp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +246,11 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := RunPackages(loader, DefaultConfig(), All(), paths)
+	res, err := Run(loader, DefaultConfig(), All(), paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		t.Errorf("repo not lint-clean: %s", d)
 	}
 }

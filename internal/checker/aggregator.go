@@ -36,10 +36,6 @@ type pendingEntry struct {
 type Aggregator struct {
 	region int
 	lo, hi int
-	down   bool
-	// epoch is the regional epoch, bumped on every recovery; batches and
-	// clause partials from before the bump are dead.
-	epoch int
 
 	vals       []map[string]float64
 	stamps     []clock.Vector
@@ -74,21 +70,6 @@ func newAggregator(region, lo, hi int) *Aggregator {
 	return a
 }
 
-// Region returns the aggregator's region index.
-func (a *Aggregator) Region() int { return a.region }
-
-// Span returns the global process range [lo, hi) the aggregator owns.
-func (a *Aggregator) Span() (lo, hi int) { return a.lo, a.hi }
-
-// Down reports whether the aggregator is crashed.
-func (a *Aggregator) Down() bool { return a.down }
-
-// Epoch returns the regional epoch (recoveries so far).
-func (a *Aggregator) Epoch() int { return a.epoch }
-
-// PendingLen returns the current size of the unflushed sync set.
-func (a *Aggregator) PendingLen() int { return len(a.pending) }
-
 // stage coalesces one applied report into the pending sync set; it
 // reports whether a superseded pending value was overwritten.
 func (a *Aggregator) stage(m Report, now sim.Time) bool {
@@ -112,24 +93,6 @@ func (a *Aggregator) drain() []int {
 	}
 	sort.Ints(procs)
 	return procs
-}
-
-// reset wipes every piece of regional state — values, stamps, admission,
-// reconstructions, pending — under a bumped regional epoch. This is the
-// crash/recovery discipline: a rejoined aggregator starts from nothing,
-// it never merges pre-crash regional state.
-func (a *Aggregator) reset() {
-	a.epoch++
-	for i := range a.vals {
-		a.vals[i] = make(map[string]float64)
-		a.stamps[i] = nil
-		a.lastSeq[i] = 0
-		a.lastEpoch[i] = 0
-		a.lastChange[i] = change{}
-	}
-	a.recon = nil
-	a.stampBuf = nil
-	a.pending = make(map[int]*pendingEntry)
 }
 
 // StateBytes estimates the aggregator's resident footprint: per-process

@@ -45,12 +45,6 @@ func (m Report) OwnClock() uint64 {
 	return 0
 }
 
-// FlightStamp implements flight.Stamped (same identity the transport
-// message carries, so tree and flat checker dumps line up).
-func (m Report) FlightStamp() (epoch, seq int, clk uint64) {
-	return m.Epoch, m.Seq, m.OwnClock()
-}
-
 // Occurrence is one detected period during which the tree's view
 // satisfied the predicate; it mirrors core.Occurrence (the package split
 // keeps checker below core in the import graph).

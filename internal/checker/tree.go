@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pervasive/internal/clock"
-	"pervasive/internal/flight"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -47,9 +46,6 @@ type Stats struct {
 	LocalEntries int64
 	// WireBytes is the total encoded size of every flushed batch.
 	WireBytes int64
-	// RegionDropped counts reports dropped because the owning regional
-	// aggregator was crashed.
-	RegionDropped int64
 	// SyncedProcs / SyncLagTotal measure the upward channel's staleness:
 	// per flushed process, how long its oldest unsynced report waited.
 	SyncedProcs  int64
@@ -61,21 +57,15 @@ type clauseState struct {
 	// totals are the two comparison side values (konst baked in);
 	// meaningful only for linear clauses.
 	totals [2]float64
-	// reg are the per-region partial contributions to each side — what
-	// RecoverRegion subtracts to forget a crashed region.
-	reg   [2][]float64
-	truth bool
+	truth  bool
 }
 
-// rootView is the root's batch-synced consolidated state: per-process
-// strobe watermarks and boundary values, advanced only by decoding
-// flushed batches (the wire codec is load-bearing).
+// rootView is the root's batch-synced state: per-process strobe
+// watermarks, advanced only by decoding flushed batches (the wire codec
+// is load-bearing).
 type rootView struct {
-	own         []uint64
-	seq         []int
-	regionEpoch []int
-	vals        map[predicate.Key]float64
-	lastBatchAt sim.Time
+	own []uint64
+	seq []int
 }
 
 // Tree is the hierarchical checker: R regional aggregators under one
@@ -121,10 +111,6 @@ type Tree struct {
 	obsBatches    *obs.Counter
 	obsWireBytes  *obs.Counter
 	obsCoalesced  *obs.Counter
-	obsDropped    *obs.Counter
-
-	fl     *flight.Recorder
-	flSelf int32
 }
 
 // New builds the tree: compiles the predicate into the clause plan,
@@ -153,10 +139,8 @@ func New(cfg Config) *Tree {
 		raceAware: cfg.RaceAware, NaiveRace: cfg.NaiveRace,
 		batchInterval: cfg.BatchInterval, maxBatch: cfg.MaxBatch,
 		root: rootView{
-			own:         make([]uint64, cfg.N),
-			seq:         make([]int, cfg.N),
-			regionEpoch: make([]int, r),
-			vals:        make(map[predicate.Key]float64),
+			own: make([]uint64, cfg.N),
+			seq: make([]int, cfg.N),
 		},
 	}
 	t.state = treeState{t}
@@ -168,7 +152,6 @@ func New(cfg Config) *Tree {
 	t.cs = make([]clauseState, len(t.plan.clauses))
 	for i, cl := range t.plan.clauses {
 		cs := &t.cs[i]
-		cs.reg = [2][]float64{make([]float64, r), make([]float64, r)}
 		if cl.linear {
 			cs.totals = [2]float64{cl.sides[0].konst, cl.sides[1].konst}
 			cs.truth = cmpEval(cl.op, cs.totals[0], cs.totals[1])
@@ -198,9 +181,6 @@ func (t *Tree) aggFor(p int) (*Aggregator, int) {
 // Fanout returns R, the number of regional aggregators.
 func (t *Tree) Fanout() int { return t.r }
 
-// Aggregators exposes the regional nodes (tests, memory accounting).
-func (t *Tree) Aggregators() []*Aggregator { return t.aggs }
-
 // treeState adapts the distributed regional values to predicate.State.
 type treeState struct{ t *Tree }
 
@@ -228,14 +208,6 @@ func (t *Tree) SetObs(r *obs.Registry) {
 	t.obsBatches = r.Counter("checker.tree.batches")
 	t.obsWireBytes = r.Counter("checker.tree.wire_bytes")
 	t.obsCoalesced = r.Counter("checker.tree.coalesced")
-	t.obsDropped = r.Counter("checker.tree.region_dropped")
-}
-
-// SetFlight attaches a flight recorder at the checker's transport index,
-// recording the same Apply/Stale/Detect/Clear stream as the flat checker.
-func (t *Tree) SetFlight(r *flight.Recorder, self int) {
-	t.fl = r
-	t.flSelf = int32(self)
 }
 
 // OnReport applies one received strobe report. The admission discipline,
@@ -252,19 +224,10 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 		return
 	}
 	a, li := t.aggFor(m.Proc)
-	if a.down {
-		// A crashed aggregator drops its region's reports on the floor;
-		// the root's last-synced view of the region persists, exactly as
-		// the flat checker's view of a dead sensor does.
-		t.Stat.RegionDropped++
-		t.obsDropped.Inc()
-		return
-	}
 	switch {
 	case m.Epoch < a.lastEpoch[li]:
 		t.Stat.Stale++
 		t.obsStale.Inc()
-		t.recordStale(m, now)
 		return
 	case m.Epoch > a.lastEpoch[li]:
 		a.lastEpoch[li] = m.Epoch
@@ -278,20 +241,11 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	if m.Seq <= a.lastSeq[li] {
 		t.Stat.Stale++
 		t.obsStale.Inc()
-		t.recordStale(m, now)
 		return
 	}
 	a.lastSeq[li] = m.Seq
 	t.Stat.Applied++
 	t.obsApplied.Inc()
-	if t.fl != nil {
-		epoch, seq, clk := m.FlightStamp()
-		t.fl.Record(flight.Rec{
-			Kind: flight.Apply, Proc: t.flSelf, Peer: int32(m.Proc),
-			Epoch: int32(epoch), Seq: uint64(seq), At: now,
-			Attr: t.fl.Intern(m.Var), PeerClock: clk, Value: m.Value,
-		})
-	}
 
 	// Differential strobes: per-sender reconstruction, allocated lazily
 	// per region and only race-aware (the flat checker's memory gate).
@@ -313,7 +267,7 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	a.vals[li][m.Var] = m.Value
 	t.obsEvals.Inc()
 	if delta := m.Value - prev; delta != 0 {
-		t.applyDelta(m.Proc, m.Var, delta, a.region)
+		t.applyDelta(m.Proc, m.Var, delta)
 	}
 	settled := t.numFalse == 0
 
@@ -343,34 +297,19 @@ func (t *Tree) OnReport(m Report, now sim.Time) {
 	}
 }
 
-// recordStale stamps one discarded report at the checker's ring.
-func (t *Tree) recordStale(m Report, now sim.Time) {
-	if t.fl == nil {
-		return
-	}
-	epoch, seq, clk := m.FlightStamp()
-	t.fl.Record(flight.Rec{
-		Kind: flight.Stale, Proc: t.flSelf, Peer: int32(m.Proc),
-		Epoch: int32(epoch), Seq: uint64(seq), At: now,
-		Attr: t.fl.Intern(m.Var), PeerClock: clk, Value: m.Value,
-	})
-}
-
 // applyDelta folds one value change into the clause states: O(hooks for
 // that variable), independent of the fleet size — the per-report cost
 // the flat checker pays O(p) for on aggregate predicates.
-func (t *Tree) applyDelta(proc int, name string, delta float64, region int) {
+func (t *Tree) applyDelta(proc int, name string, delta float64) {
 	kc := t.plan.byKey[predicate.Key{Proc: proc, Name: name}]
 	ka := t.plan.byKey[predicate.Key{Proc: -1, Name: name}]
 	for _, c := range kc {
 		cs := &t.cs[c.cl.idx]
 		cs.totals[c.side] += c.c * delta
-		cs.reg[c.side][region] += c.c * delta
 	}
 	for _, c := range ka {
 		cs := &t.cs[c.cl.idx]
 		cs.totals[c.side] += c.c * delta
-		cs.reg[c.side][region] += c.c * delta
 	}
 	for _, c := range kc {
 		t.refreshClause(c.cl)
@@ -419,22 +358,10 @@ func (t *Tree) flip(settled, race bool, now sim.Time) {
 		if t.Notify != nil {
 			t.Notify(o)
 		}
-		if t.fl != nil {
-			t.fl.Record(flight.Rec{
-				Kind: flight.Detect, Proc: t.flSelf, Peer: flight.NoPeer,
-				At: now, Value: 1,
-			})
-			t.fl.TriggerDump("detect", now)
-		}
 	} else if len(t.occ) > 0 {
 		t.occ[len(t.occ)-1].End = now
 		if race {
 			t.occ[len(t.occ)-1].Borderline = true
-		}
-		if t.fl != nil {
-			t.fl.Record(flight.Rec{
-				Kind: flight.Clear, Proc: t.flSelf, Peer: flight.NoPeer, At: now,
-			})
 		}
 	}
 	t.cur = settled
@@ -447,9 +374,7 @@ func (t *Tree) Finish(horizon sim.Time) {
 		return
 	}
 	for _, a := range t.aggs {
-		if !a.down {
-			t.flushAgg(a, horizon)
-		}
+		t.flushAgg(a, horizon)
 	}
 	t.finished = true
 	if t.cur && len(t.occ) > 0 && t.occ[len(t.occ)-1].End == 0 {
@@ -462,11 +387,6 @@ func (t *Tree) Occurrences() []Occurrence { return t.occ }
 
 // Markers returns the view times at which race ambiguity was observed.
 func (t *Tree) Markers() []sim.Time { return t.markers }
-
-// View returns the tree's current value of (proc, var).
-func (t *Tree) View(proc int, name string) float64 {
-	return t.state.Get(proc, name)
-}
 
 // MaxAggregatorBytes returns the largest regional node footprint — the
 // quantity the bounded-memory claim is about (sublinear in p at fixed
@@ -483,19 +403,11 @@ func (t *Tree) MaxAggregatorBytes() int {
 
 // RootSynced returns the root's batch-synced watermark for proc: its own
 // strobe-clock component and report seq as of the last decoded batch.
+//
+//lint:allow deadcode(test hook: the core checker-tree differential suite reads the root's synced watermarks to prove batches cross the tier boundary)
 func (t *Tree) RootSynced(proc int) (own uint64, seq int) {
 	return t.root.own[proc], t.root.seq[proc]
 }
-
-// RootValue returns the root's batch-synced boundary value for (proc,
-// var), and whether one has been synced.
-func (t *Tree) RootValue(proc int, name string) (float64, bool) {
-	v, ok := t.root.vals[predicate.Key{Proc: proc, Name: name}]
-	return v, ok
-}
-
-// LastBatchAt returns the At stamp of the most recently decoded batch.
-func (t *Tree) LastBatchAt() sim.Time { return t.root.lastBatchAt }
 
 // flushAgg drains one aggregator's pending set into a batch, encodes it,
 // and advances the root's consolidated view from the *decoded* bytes.
@@ -505,7 +417,7 @@ func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 		return
 	}
 	procs := a.drain()
-	b := Batch{Region: a.region, Epoch: a.epoch, At: now}
+	b := Batch{Region: a.region, At: now}
 	for _, p := range procs {
 		e := a.pending[p]
 		b.Triples = append(b.Triples, clock.StampTriple{Proc: p, Val: e.own, Sent: uint64(e.seq)})
@@ -532,63 +444,12 @@ func (t *Tree) flushAgg(a *Aggregator, now sim.Time) {
 	clear(a.pending)
 }
 
-// rootApply advances the root watermarks from one decoded batch. Batches
-// under a stale regional epoch (pre-recovery stragglers) are discarded —
-// the aggregator-level counterpart of the per-sensor epoch discipline.
+// rootApply advances the root watermarks from one decoded batch.
 func (t *Tree) rootApply(b Batch) {
-	if b.Epoch < t.root.regionEpoch[b.Region] {
-		return
-	}
-	t.root.regionEpoch[b.Region] = b.Epoch
 	for _, tr := range b.Triples {
 		t.root.own[tr.Proc] = tr.Val
 		t.root.seq[tr.Proc] = int(tr.Sent)
 	}
-	for _, e := range b.Entries {
-		t.root.vals[predicate.Key{Proc: e.Proc, Name: e.Var}] = e.Value
-	}
-	t.root.lastBatchAt = b.At
-}
-
-// CrashRegion takes regional aggregator r down: its pending sync is lost
-// and subsequent reports from its region are dropped until recovery.
-func (t *Tree) CrashRegion(r int) {
-	a := t.aggs[r]
-	if a.down {
-		return
-	}
-	a.down = true
-	t.Stat.RegionDropped += int64(len(a.pending))
-	clear(a.pending)
-}
-
-// RecoverRegion brings aggregator r back with wholly fresh regional
-// state: values, stamps, admission and clause partials are reset under a
-// bumped regional epoch, so nothing pre-crash can be merged back in. If
-// forgetting the region flips the predicate, the edge is recorded at the
-// recovery time.
-func (t *Tree) RecoverRegion(r int, now sim.Time) {
-	a := t.aggs[r]
-	if !a.down {
-		return
-	}
-	a.down = false
-	for i := range t.cs {
-		cs := &t.cs[i]
-		cs.totals[0] -= cs.reg[0][r]
-		cs.totals[1] -= cs.reg[1][r]
-		cs.reg[0][r] = 0
-		cs.reg[1][r] = 0
-	}
-	a.reset()
-	a.lastFlush = now
-	// Fence the root against pre-crash stragglers immediately: the epoch
-	// bump must take effect before any batch under the new epoch arrives.
-	t.root.regionEpoch[r] = a.epoch
-	for _, cl := range t.plan.clauses {
-		t.refreshClause(cl)
-	}
-	t.flip(t.numFalse == 0, false, now)
 }
 
 // detectRace replicates the flat checker's four-state probe (see

@@ -80,92 +80,8 @@ func TestTreeAdmissionDiscipline(t *testing.T) {
 	if tr.Stat.Applied != 3 || tr.Stat.Stale != 4 {
 		t.Fatalf("applied/stale = %d/%d, want 3/4", tr.Stat.Applied, tr.Stat.Stale)
 	}
-	if got := tr.View(0, "p"); got != 0 {
+	if got := tr.state.Get(0, "p"); got != 0 {
 		t.Fatalf("view = %v, want 0 (epoch-1 value)", got)
-	}
-}
-
-// TestTreeAggregatorCrashRecovery is the regional-node counterpart of
-// the sensor epoch-reset tests: when the crashing process is a regional
-// aggregator, rejoin must not merge any pre-crash regional state — not
-// values, not admission watermarks, not clause partials.
-func TestTreeAggregatorCrashRecovery(t *testing.T) {
-	tr := sumTree(8, 4, 3)
-	// Region 1 owns procs 2..3. Drive the predicate true through them.
-	tr.OnReport(report(2, 5, 1), 10)
-	tr.OnReport(report(3, 5, 1), 20) // sum=2
-	tr.OnReport(report(0, 1, 1), 25) // sum=3: open occurrence
-	if got := tr.numFalse; got != 0 {
-		t.Fatalf("predicate should hold before the crash")
-	}
-
-	tr.CrashRegion(1)
-	tr.OnReport(report(2, 6, 0), 30) // dropped: aggregator down
-	if tr.Stat.RegionDropped == 0 {
-		t.Fatalf("crashed region accepted a report")
-	}
-	if got := tr.View(2, "p"); got != 1 {
-		t.Fatalf("crash must freeze, not wipe, the synced view; got %v", got)
-	}
-
-	tr.RecoverRegion(1, 40)
-	// Recovery forgets the region wholesale: values and clause partials.
-	if got := tr.View(2, "p"); got != 0 {
-		t.Fatalf("post-recovery view of proc 2 = %v, want 0", got)
-	}
-	if got := tr.View(3, "p"); got != 0 {
-		t.Fatalf("post-recovery view of proc 3 = %v, want 0", got)
-	}
-	// sum fell to 1 < 3: the occurrence must close at the recovery time.
-	occ := tr.Occurrences()
-	if len(occ) != 1 || occ[0].End != 40 {
-		t.Fatalf("occurrence = %v, want one closed at 40", occ)
-	}
-	if a := tr.Aggregators()[1]; a.Epoch() != 1 {
-		t.Fatalf("regional epoch = %d, want 1", a.Epoch())
-	}
-
-	// Fresh admission state: a seq far below the pre-crash watermark is
-	// accepted (the rejoined aggregator has no pre-crash watermarks to
-	// compare against), and pre-crash values never resurface.
-	tr.OnReport(report(2, 1, 1), 50)
-	if got := tr.View(2, "p"); got != 1 {
-		t.Fatalf("post-recovery report rejected: view = %v", got)
-	}
-	if tr.numFalse == 0 {
-		t.Fatalf("sum should be 2 only after proc 3 reports again — pre-crash partials leaked")
-	}
-	tr.OnReport(report(3, 1, 1), 60)
-	if tr.numFalse != 0 {
-		t.Fatalf("predicate should hold again after both procs re-report")
-	}
-	occ = tr.Occurrences()
-	if len(occ) != 2 || occ[1].Start != 60 {
-		t.Fatalf("occurrences = %v, want reopening at 60", occ)
-	}
-}
-
-// TestTreeRecoveryDiscardsStaleRegionalBatches pins the root-side epoch
-// discipline: a batch stamped with a pre-recovery regional epoch must
-// not advance the root watermarks.
-func TestTreeRecoveryDiscardsStaleRegionalBatches(t *testing.T) {
-	tr := sumTree(8, 4, 2)
-	tr.OnReport(report(2, 5, 1), 10)
-	tr.Finish(20) // flush: root sees proc 2 at seq 5
-	if _, seq := tr.RootSynced(2); seq != 5 {
-		t.Fatalf("root seq = %d, want 5", seq)
-	}
-	// Hand-deliver a stale batch (regional epoch 0) after a recovery
-	// bumped the region to epoch 1.
-	tr2 := sumTree(8, 4, 2)
-	tr2.OnReport(report(2, 5, 1), 10)
-	tr2.CrashRegion(1)
-	tr2.RecoverRegion(1, 15)
-	stale := Batch{Region: 1, Epoch: 0, At: 16,
-		Triples: []clock.StampTriple{{Proc: 2, Val: 9, Sent: 9}}}
-	tr2.rootApply(stale)
-	if own, seq := tr2.RootSynced(2); own == 9 || seq == 9 {
-		t.Fatalf("stale regional batch advanced root watermarks: own=%d seq=%d", own, seq)
 	}
 }
 
@@ -218,7 +134,7 @@ func TestTreeBoundedAggregatorMemory(t *testing.T) {
 				tr.OnReport(report(proc, seq, float64(round%2)), sim.Time(round*10+1))
 			}
 		}
-		for _, a := range tr.Aggregators() {
+		for _, a := range tr.aggs {
 			if a.recon != nil {
 				t.Fatalf("race-blind aggregator allocated reconstructions")
 			}

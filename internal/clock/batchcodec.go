@@ -51,21 +51,6 @@ func AppendStampBatch(dst []byte, ts []StampTriple) []byte {
 	return dst
 }
 
-// StampBatchWireBytes returns the encoded size of ts without building
-// the buffer.
-func StampBatchWireBytes(ts []StampTriple) int {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(ts)))
-	prev := -1
-	for _, t := range ts {
-		n += binary.PutUvarint(buf[:], uint64(t.Proc-prev))
-		n += binary.PutUvarint(buf[:], t.Val)
-		n += binary.PutUvarint(buf[:], t.Sent)
-		prev = t.Proc
-	}
-	return n
-}
-
 // DecodeStampBatch decodes one batch from the front of b, returning the
 // triples and the number of bytes consumed.
 func DecodeStampBatch(b []byte) ([]StampTriple, int, error) {

@@ -80,7 +80,7 @@ func BenchmarkClockResetSparse(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.OnStrobe(st)
-				s.Reset()
+				s.own, s.comps = 0, nil
 			}
 		})
 	}

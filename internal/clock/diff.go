@@ -42,9 +42,6 @@ func NewDiffStrobeVector(me, n int) *DiffStrobeVector {
 	}
 }
 
-// Me returns the owning process index.
-func (d *DiffStrobeVector) Me() int { return d.inner.Me() }
-
 // Snapshot returns the full current vector (local state is always full;
 // only the wire format is sparse).
 func (d *DiffStrobeVector) Snapshot() Vector { return d.inner.Snapshot() }

@@ -6,9 +6,6 @@ type Lamport struct {
 	c uint64
 }
 
-// Read returns the current clock value without ticking.
-func (l *Lamport) Read() uint64 { return l.c }
-
 // Tick applies SC1 (a relevant internal/sense event) and returns the new
 // value.
 func (l *Lamport) Tick() uint64 {
@@ -44,12 +41,6 @@ func NewVectorClock(me, n int) *VectorClock {
 	}
 	return &VectorClock{me: me, v: NewVector(n)}
 }
-
-// Me returns the owning process index.
-func (c *VectorClock) Me() int { return c.me }
-
-// Snapshot returns a copy of the current vector.
-func (c *VectorClock) Snapshot() Vector { return c.v.Clone() }
 
 // Tick applies VC1 (relevant internal event) and returns a copy of the new
 // vector.

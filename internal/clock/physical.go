@@ -34,9 +34,6 @@ func (d Drifting) Read(now sim.Time) sim.Time {
 	return t
 }
 
-// SkewAt returns the signed error of the reading at true time now.
-func (d Drifting) SkewAt(now sim.Time) sim.Time { return d.Read(now) - now }
-
 // EpsilonSynced models the output of a clock synchronization service with
 // skew bound ε: each process's reading differs from true time by a fixed
 // per-run offset with |offset| ≤ ε/2, so any two readings differ by at
@@ -93,6 +90,8 @@ type PhysicalVector struct {
 // NewPhysicalVector returns process me's physical vector clock backed by
 // hardware clock hw in an n-process system. Unset components are the zero
 // time.
+//
+//lint:allow deadcode(paper model: physical vector clocks, Appendix A and DESIGN §1.2)
 func NewPhysicalVector(me, n int, hw Physical) *PhysicalVector {
 	if me < 0 || me >= n {
 		panic("clock: process index out of range")
@@ -107,6 +106,8 @@ func (p *PhysicalVector) Snapshot() []sim.Time {
 
 // Tick records a local relevant event at true time now and returns a copy
 // of the vector to piggyback.
+//
+//lint:allow deadcode(paper model: physical vector clocks, Appendix A and DESIGN §1.2)
 func (p *PhysicalVector) Tick(now sim.Time) []sim.Time {
 	r := p.hw.Read(now)
 	if r > p.v[p.me] {
@@ -119,6 +120,8 @@ func (p *PhysicalVector) Tick(now sim.Time) []sim.Time {
 
 // Receive merges a piggybacked physical vector t and records the local
 // receive at true time now.
+//
+//lint:allow deadcode(paper model: physical vector clocks, Appendix A and DESIGN §1.2)
 func (p *PhysicalVector) Receive(now sim.Time, t []sim.Time) []sim.Time {
 	for i, x := range t {
 		if i < len(p.v) && x > p.v[i] {

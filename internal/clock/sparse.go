@@ -47,9 +47,6 @@ func NewSparseStrobeVector(me, n int) *SparseStrobeVector {
 	return &SparseStrobeVector{me: me, n: n}
 }
 
-// Me returns the owning process index.
-func (s *SparseStrobeVector) Me() int { return s.me }
-
 // OwnClock returns the local component — the value a process reports as
 // its own logical time without materializing a vector.
 func (s *SparseStrobeVector) OwnClock() uint64 { return s.own }
@@ -141,17 +138,6 @@ func (s *SparseStrobeVector) Snapshot() Vector {
 	return v
 }
 
-// Reset zeroes the clock in place, releasing the component storage: the
-// epoch-reset rule for a crashed-and-rejoining process.
-func (s *SparseStrobeVector) Reset() {
-	s.own = 0
-	s.comps = nil
-}
-
-// ActivePeers returns how many non-own components this process has heard
-// of — the quantity the O(active peers) memory claim is about.
-func (s *SparseStrobeVector) ActivePeers() int { return len(s.comps) }
-
 // StateBytes estimates the resident footprint of the clock state.
 func (s *SparseStrobeVector) StateBytes() int {
 	return 32 + cap(s.comps)*sparseCompBytes
@@ -161,7 +147,6 @@ func (s *SparseStrobeVector) StateBytes() int {
 // clock and the sparse sorted-pairs clock. Engines hold this interface so
 // the representation is a capacity decision, not a protocol one.
 type VectorState interface {
-	Me() int
 	// Strobe applies SVC1 and returns the differential stamp to broadcast.
 	Strobe() SparseStamp
 	// OnStrobe applies SVC2 to a received differential stamp.

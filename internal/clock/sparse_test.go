@@ -102,20 +102,6 @@ func TestSparseOnStrobeIgnoresJunk(t *testing.T) {
 	}
 }
 
-// TestSparseReset: the epoch reset zeroes the clock and releases storage.
-func TestSparseReset(t *testing.T) {
-	s := NewSparseStrobeVector(1, 32)
-	s.Strobe()
-	s.OnStrobe(SparseStamp{{Proc: 7, Val: 4}})
-	s.Reset()
-	if s.OwnClock() != 0 || s.ActivePeers() != 0 {
-		t.Fatalf("Reset left state: own=%d peers=%d", s.OwnClock(), s.ActivePeers())
-	}
-	if got := s.Strobe(); !reflect.DeepEqual(got, SparseStamp{{Proc: 1, Val: 1}}) {
-		t.Fatalf("post-reset stamp = %v", got)
-	}
-}
-
 // TestNewVectorStatePicksByDensity: the constructor switches representation
 // at the documented cutoff.
 func TestNewVectorStatePicksByDensity(t *testing.T) {

@@ -10,9 +10,6 @@ type StrobeScalar struct {
 	c uint64
 }
 
-// Read returns the current clock value.
-func (s *StrobeScalar) Read() uint64 { return s.c }
-
 // Strobe applies SSC1 on a relevant (sensed) event: tick the local
 // component and return the value that the caller must system-wide
 // broadcast as a control message.
@@ -45,9 +42,6 @@ func NewStrobeVector(me, n int) *StrobeVector {
 	}
 	return &StrobeVector{me: me, v: NewVector(n)}
 }
-
-// Me returns the owning process index.
-func (s *StrobeVector) Me() int { return s.me }
 
 // Snapshot returns a copy of the current vector.
 func (s *StrobeVector) Snapshot() Vector { return s.v.Clone() }

@@ -54,9 +54,6 @@ func TestStrobeVectorRules(t *testing.T) {
 	if s.Snapshot()[0] != 1 {
 		t.Fatal("SVC2 ticked local component")
 	}
-	if s.Me() != 0 {
-		t.Fatal("Me() wrong")
-	}
 }
 
 func TestStrobeVectorMonotone(t *testing.T) {

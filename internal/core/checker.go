@@ -369,6 +369,8 @@ func (c *StrobeChecker) Markers() []sim.Time { return c.markers }
 
 // View returns the checker's current value of (proc, var) — the evolving
 // "map of the physical world" of Section 1.
+//
+//lint:allow deadcode(test hook: the live engine's crash-recovery test reads the checker view to prove the post-recovery strobe was applied)
 func (c *StrobeChecker) View(proc int, name string) float64 {
 	return checkerState{c.vals}.Get(proc, name)
 }

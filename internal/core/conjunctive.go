@@ -229,6 +229,3 @@ func (c *ConjunctiveChecker) report(heads []IntervalMsg) {
 
 // Occurrences returns the matched occurrences so far.
 func (c *ConjunctiveChecker) Occurrences() []Occurrence { return c.occ }
-
-// Matches returns the number of matched interval sets.
-func (c *ConjunctiveChecker) Matches() int64 { return c.matches }

@@ -91,8 +91,8 @@ func TestConjunctiveEveryOccurrence(t *testing.T) {
 		c.OnInterval(ivmsg(1, k, o1, c1, int64(100*k)+20, int64(100*k)+80), 0)
 		base += 4
 	}
-	if c.Matches() != 3 {
-		t.Fatalf("matches %d want 3 (no hang after the first!)", c.Matches())
+	if c.matches != 3 {
+		t.Fatalf("matches %d want 3 (no hang after the first!)", c.matches)
 	}
 }
 
@@ -109,8 +109,8 @@ func TestConjunctiveOnceSemantics(t *testing.T) {
 		c.OnInterval(ivmsg(1, k, o1, c1, int64(100*k)+20, int64(100*k)+80), 0)
 		base += 4
 	}
-	if c.Matches() != 1 {
-		t.Fatalf("detect-once matched %d", c.Matches())
+	if c.matches != 1 {
+		t.Fatalf("detect-once matched %d", c.matches)
 	}
 }
 
@@ -138,8 +138,8 @@ func TestConjunctiveIgnoresConsumedIndices(t *testing.T) {
 	c.OnInterval(ivmsg(0, 0, clock.Vector{1}, clock.Vector{2}, 0, 50), 0)
 	// Index 0 was consumed (matched); a late duplicate must be dropped.
 	c.OnInterval(ivmsg(0, 0, clock.Vector{1}, clock.Vector{2}, 0, 50), 0)
-	if c.Matches() != 1 {
-		t.Fatalf("matches %d", c.Matches())
+	if c.matches != 1 {
+		t.Fatalf("matches %d", c.matches)
 	}
 }
 

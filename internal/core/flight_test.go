@@ -123,7 +123,7 @@ func TestHarnessFlightCrashDumpSeesEpochBump(t *testing.T) {
 	// The final signal-free state: the last dump triggered at/after the
 	// recovery must contain the Recover record with epoch 1, and later
 	// sense events of p1 must carry epoch 1 stamps.
-	h.SignalDump("end")
+	h.Cfg.Flight.TriggerDump("signal:end", h.Eng.Now())
 	last := h.Dumps[len(h.Dumps)-1]
 	if last.Trigger != "signal:end" {
 		t.Fatalf("trigger %q", last.Trigger)

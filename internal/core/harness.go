@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 
 	"pervasive/internal/clock"
@@ -11,7 +10,6 @@ import (
 	"pervasive/internal/network"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
-	"pervasive/internal/runner"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 	"pervasive/internal/trace"
@@ -96,7 +94,7 @@ type Harness struct {
 	Faults *faults.Injector
 
 	// Dumps collects the flight dumps triggered during the run (fault
-	// transitions, checker detections, SignalDump), in trigger order.
+	// transitions, checker detections), in trigger order.
 	Dumps []*flight.Dump
 }
 
@@ -157,7 +155,6 @@ func NewHarness(cfg HarnessConfig) *Harness {
 	h := &Harness{Cfg: cfg, Eng: eng, World: w, Net: nt}
 
 	if cfg.Flight != nil {
-		cfg.Flight.SetTimeBase("virtual")
 		cfg.Flight.SetTrigger(func(d *flight.Dump) {
 			if cfg.Obs != nil {
 				snap := cfg.Obs.Snapshot()
@@ -228,17 +225,14 @@ func NewHarness(cfg HarnessConfig) *Harness {
 // and leaves the fault-free fast path untouched. Crash/recover events
 // must target sensor processes (0..N-1) — the checker P0 is the one
 // process the model keeps up — though partitions may isolate it by
-// listing index N. Panics on an out-of-range event process.
+// listing index N. Panics on a plan that fails Validate.
 func (h *Harness) InstallFaults(plan *faults.Plan) {
 	inj := faults.NewInjector(plan)
 	if inj == nil {
 		return
 	}
-	for _, ev := range plan.Events {
-		if ev.Proc < 0 || ev.Proc >= h.Cfg.N {
-			panic(fmt.Sprintf("core: fault plan event targets process %d; crash/recover is limited to sensors 0..%d",
-				ev.Proc, h.Cfg.N-1))
-		}
+	if err := plan.Validate(h.Cfg.N); err != nil {
+		panic(err)
 	}
 	h.Faults = inj
 	h.Net.SetFaults(inj)
@@ -278,16 +272,6 @@ func (h *Harness) InstallFaults(plan *faults.Plan) {
 			}
 		})
 	}
-}
-
-// SignalDump triggers an explicit flight dump of every process's ring,
-// tagged "signal:<reason>" — the manual third trigger class next to
-// fault transitions and checker detections.
-func (h *Harness) SignalDump(reason string) {
-	if h.Cfg.Flight == nil {
-		return
-	}
-	h.Cfg.Flight.TriggerDump("signal:"+reason, h.Eng.Now())
 }
 
 // Bind connects object obj's attr to variable varName at sensor proc.
@@ -330,17 +314,6 @@ func (s worldState) Get(proc int, name string) float64 {
 
 // NumProcs implements predicate.State.
 func (s worldState) NumProcs() int { return s.n }
-
-// RunMany builds and runs n independent harnesses across a bounded worker
-// pool (see runner.Workers for the parallelism convention) and returns
-// their Results indexed by replication. Each harness owns its engine, RNG
-// fork and world, so replications are isolated by construction; results
-// are collected by index, which keeps any aggregation over them — and
-// therefore every rendered experiment table — byte-identical to a
-// sequential run.
-func RunMany(parallelism, n int, build func(i int) *Harness) []Results {
-	return runner.Map(parallelism, n, func(i int) Results { return build(i).Run() })
-}
 
 // Run executes the simulation to the horizon, finishes the checker, and
 // scores against ground truth.

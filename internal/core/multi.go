@@ -61,12 +61,6 @@ func (m *MultiChecker) Finish(horizon sim.Time) {
 	}
 }
 
-// Names returns the predicate names in deterministic order.
-func (m *MultiChecker) Names() []string { return append([]string(nil), m.order...) }
-
-// Checker returns the underlying checker for a name (nil if unknown).
-func (m *MultiChecker) Checker(name string) *StrobeChecker { return m.checkers[name] }
-
 // Occurrences returns the named predicate's occurrences.
 func (m *MultiChecker) Occurrences(name string) []Occurrence {
 	if c := m.checkers[name]; c != nil {

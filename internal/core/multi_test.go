@@ -37,7 +37,7 @@ func TestMultiCheckerFansOut(t *testing.T) {
 	if m.Occurrences("nope") != nil {
 		t.Fatal("unknown name returned occurrences")
 	}
-	names := m.Names()
+	names := m.order
 	if len(names) != 2 || names[0] != "bio" || names[1] != "pw" {
 		t.Fatalf("names %v not deterministic", names)
 	}
@@ -64,7 +64,7 @@ func TestMultiCheckerCheckerAccessorAndFinish(t *testing.T) {
 	m := NewMultiChecker(1, map[string]predicate.Cond{
 		"a": predicate.MustParse("x@0 > 0"),
 	}, false) // scalar variant
-	if m.Checker("a") == nil || m.Checker("zzz") != nil {
+	if m.checkers["a"] == nil || m.checkers["zzz"] != nil {
 		t.Fatal("Checker accessor broken")
 	}
 	m.OnStrobe(StrobeMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, Scalar: 1}, 5)

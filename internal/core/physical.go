@@ -144,9 +144,6 @@ func (c *PhysicalChecker) Finish(horizon sim.Time) {
 // Occurrences returns the detected occurrences (call Finish first).
 func (c *PhysicalChecker) Occurrences() []Occurrence { return c.occ }
 
-// Applied returns the number of reports replayed.
-func (c *PhysicalChecker) Applied() int64 { return c.applied }
-
 // reportHeap is a min-heap of reports by timestamp (FIFO per equal TS not
 // guaranteed; equal timestamps are genuinely unordered at resolution).
 type reportHeap []ReportMsg

@@ -119,19 +119,19 @@ func TestPhysicalCheckerAccessors(t *testing.T) {
 	c.OnReport(ReportMsg{Proc: 0, Seq: 1, Var: "x", Value: 1, TS: 5}, 5)
 	eng.RunAll()
 	c.Finish(100)
-	if c.Applied() != 1 {
-		t.Fatalf("applied %d", c.Applied())
+	if c.applied != 1 {
+		t.Fatalf("applied %d", c.applied)
 	}
 	// Reports after Finish are ignored.
 	c.OnReport(ReportMsg{Proc: 0, Seq: 2, Var: "x", Value: 0, TS: 50}, 50)
-	if c.Applied() != 1 {
+	if c.applied != 1 {
 		t.Fatal("report applied after Finish")
 	}
 	// Out-of-range proc dropped.
 	c2 := NewPhysicalChecker(eng, 1, predicate.MustParse("x@0 > 0"), 10)
 	c2.OnReport(ReportMsg{Proc: 9, Seq: 1, Var: "x", Value: 1, TS: 5}, 5)
 	c2.Finish(100)
-	if c2.Applied() != 0 {
+	if c2.applied != 0 {
 		t.Fatal("bad proc applied")
 	}
 }

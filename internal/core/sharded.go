@@ -349,11 +349,8 @@ func (h *ShardedHarness) installFaults(plan *faults.Plan) {
 	if inj == nil {
 		return
 	}
-	for _, ev := range plan.Events {
-		if ev.Proc < 0 || ev.Proc >= h.Cfg.N {
-			panic(fmt.Sprintf("core: fault plan event targets process %d; crash/recover is limited to sensors 0..%d",
-				ev.Proc, h.Cfg.N-1))
-		}
+	if err := plan.Validate(h.Cfg.N); err != nil {
+		panic(err)
 	}
 	h.Faults = inj
 	h.Net.SetFaults(inj)
@@ -459,6 +456,8 @@ func (s shardTruthState) NumProcs() int { return s.n }
 // trace, stably sorted by (time, proc): every proc's records live on
 // exactly one shard in per-proc chronological order, so the result is
 // shard-count invariant. Nil unless Cfg.Trace was set.
+//
+//lint:allow deadcode(test oracle: the shard-count differential suite compares merged traces across shard counts)
 func (h *ShardedHarness) MergedTrace() *trace.Trace {
 	if h.traces == nil {
 		return nil

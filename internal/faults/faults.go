@@ -157,6 +157,22 @@ func (p *Plan) MaxProc() int {
 	return max
 }
 
+// Validate checks the plan against a fleet of n sensor processes:
+// crash/recover events must target 0..n-1. The checker (index n) is the
+// one process the model keeps up, though partitions may still list it.
+// A nil plan is valid.
+func (p *Plan) Validate(n int) error {
+	if p == nil {
+		return nil
+	}
+	for _, e := range p.Events {
+		if e.Proc < 0 || e.Proc >= n {
+			return fmt.Errorf("faults: plan event targets process %d; crash/recover is limited to sensors 0..%d", e.Proc, n-1)
+		}
+	}
+	return nil
+}
+
 // String renders the plan in the Parse grammar.
 func (p *Plan) String() string {
 	if p == nil {

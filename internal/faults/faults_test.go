@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 
 	"pervasive/internal/sim"
@@ -36,6 +37,24 @@ func TestParseErrors(t *testing.T) {
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
+		}
+	}
+}
+
+func TestPlanValidate(t *testing.T) {
+	var nilPlan *Plan
+	if err := nilPlan.Validate(4); err != nil {
+		t.Fatalf("nil plan: %v", err)
+	}
+	// The checker (index n) may be partitioned but never crashed.
+	ok := NewPlan().Crash(3, 10).Recover(3, 20).Partition([][]int{{0, 1}, {4}}, 0, 5)
+	if err := ok.Validate(4); err != nil {
+		t.Fatalf("in-range plan: %v", err)
+	}
+	for _, bad := range []*Plan{NewPlan().Crash(4, 10), NewPlan().Recover(-1, 10), NewPlan().Crash(99, 1)} {
+		err := bad.Validate(4)
+		if err == nil || !strings.Contains(err.Error(), "limited to sensors 0..3") {
+			t.Errorf("plan %v: err = %v, want a range error", bad, err)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"pervasive/internal/sim"
 )
 
-// stampedPayload mimics core.StrobeMsg's Stamped implementation.
-
 func BenchmarkRecord(b *testing.B) {
 	r := New(8, DefaultPerProc)
 	rec := Rec{Kind: Recv, Proc: 3, Peer: 1, At: sim.Time(1), Seq: 9, PeerClock: 7}
@@ -24,28 +22,4 @@ func BenchmarkRecordNil(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Record(rec)
 	}
-}
-
-func BenchmarkRecordConcurrent(b *testing.B) {
-	r := NewConcurrent(8, DefaultPerProc)
-	rec := Rec{Kind: Recv, Proc: 3, Peer: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.At = sim.Time(i)
-		r.Record(rec)
-	}
-}
-
-type notStamped struct{}
-
-func BenchmarkStampAssertMiss(b *testing.B) {
-	var p any = notStamped{}
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		if st, ok := p.(Stamped); ok {
-			_, _, c := st.FlightStamp()
-			sink += c
-		}
-	}
-	_ = sink
 }

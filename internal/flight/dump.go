@@ -85,13 +85,7 @@ func (r *Recorder) Snapshot(trigger string, at sim.Time, procs ...int) *Dump {
 
 	var recs []Rec
 	for _, p := range involved {
-		if r.locks != nil {
-			r.locks[p].Lock()
-		}
 		recs = r.rings[p].snap(recs)
-		if r.locks != nil {
-			r.locks[p].Unlock()
-		}
 	}
 	// Rings were concatenated in ascending proc order with each ring
 	// oldest-first, so a stable sort by At alone yields the documented
@@ -102,7 +96,7 @@ func (r *Recorder) Snapshot(trigger string, at sim.Time, procs ...int) *Dump {
 		Version:  DumpVersion,
 		Trigger:  trigger,
 		At:       at,
-		TimeBase: r.timeBase,
+		TimeBase: "virtual",
 		N:        len(r.rings),
 		Procs:    involved,
 		Events:   make([]Event, 0, len(recs)),

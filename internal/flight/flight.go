@@ -6,20 +6,16 @@
 // as internal/obs (enforced by pervalint's fastpath analyzer).
 //
 // The recorder never keeps a whole-run trace. Each process owns a ring
-// of the last K events; a *trigger* — a fault-plan firing, a checker
-// detection, or an explicit signal — flushes the rings of the involved
-// processes into a Dump: the recent causal context of the thing that
-// just happened, ordered by (engine time, process, record order) and
-// carrying the strobe epoch, per-process sequence number and logical
-// clock component of every event. cmd/tracedump reconstructs the
-// happens-before DAG from those stamps (see dag.go).
+// of the last K events; a *trigger* — a fault-plan firing or a checker
+// detection — flushes the rings of the involved processes into a Dump:
+// the recent causal context of the thing that just happened, ordered by
+// (engine time, process, record order) and carrying the strobe epoch,
+// per-process sequence number and logical clock component of every
+// event. cmd/tracedump reconstructs the happens-before DAG from those
+// stamps (see dag.go).
 //
-// Two construction modes mirror the two engines: New builds a
-// single-threaded recorder for the DES (plain stores, no locks on the
-// hot path); NewConcurrent adds a per-ring mutex for the live engine's
-// goroutine-per-node execution. Record on a concurrent recorder locks
-// only the target process's ring, so nodes never contend except with a
-// concurrent Snapshot of their own ring.
+// Recording is single-threaded: one recorder belongs to one DES run,
+// and Record stores into the ring with no lock on the hot path.
 package flight
 
 import (
@@ -101,18 +97,6 @@ type Rec struct {
 	Value     float64
 }
 
-// Stamped is implemented by transport payloads that carry a logical
-// identity (core.StrobeMsg, core.ReportMsg): epoch and seq identify the
-// originating sense event, clock is the sender's own logical component
-// at that event. The stamp is extracted once, at message origination
-// (network.SendStamped / BroadcastStamped carry it in plain Message
-// fields from there) — never on the per-delivery path, where an
-// interface assertion per record would cost more than the ring store
-// itself.
-type Stamped interface {
-	FlightStamp() (epoch int, seq int, clock uint64)
-}
-
 // Stamp is the logical identity of a message as plain values: the field
 // layout Rec uses for its Epoch/Seq/PeerClock columns. Transports carry
 // a Stamp inside each Message so that delivery- and drop-time records
@@ -123,19 +107,6 @@ type Stamp struct {
 	Clock uint64
 }
 
-// StampOf extracts v's stamp when it implements Stamped, the zero Stamp
-// otherwise. Origination-time convenience — callers holding a concrete
-// message type should call its FlightStamp directly, and nothing on a
-// per-delivery path should call this at all (the type assertion here is
-// exactly the cost the Message stamp field exists to avoid).
-func StampOf(v any) Stamp {
-	if st, ok := v.(Stamped); ok {
-		e, s, c := st.FlightStamp()
-		return Stamp{Epoch: int32(e), Seq: uint64(s), Clock: c}
-	}
-	return Stamp{}
-}
-
 // ring is one process's fixed-capacity event history.
 type ring struct {
 	buf   []Rec
@@ -144,14 +115,9 @@ type ring struct {
 }
 
 // Recorder records flight events for n processes. The nil Recorder is
-// the disabled fast path: every method is a no-op. Construct with New
-// (single-threaded, for the DES) or NewConcurrent (per-ring mutexes,
-// for the live engine).
+// the disabled fast path: every method is a no-op.
 type Recorder struct {
 	rings []ring
-	locks []sync.Mutex // per-ring; nil in single-threaded mode
-
-	timeBase string // "virtual" (DES) or "wall-us" (live)
 
 	// Attribute interning: Rec stores a uint32 id instead of a string so
 	// records stay pointer-free. The table is tiny (bound variable names)
@@ -164,20 +130,10 @@ type Recorder struct {
 	trigger func(*Dump)
 }
 
-// New builds a single-threaded recorder: n processes, the last perProc
-// events kept per process. Record and Snapshot must be called from one
-// goroutine (the DES thread); use NewConcurrent for the live engine.
+// New builds a recorder: n processes, the last perProc events kept per
+// process. Record and Snapshot must be called from one goroutine (the
+// DES thread).
 func New(n, perProc int) *Recorder {
-	return newRecorder(n, perProc, false)
-}
-
-// NewConcurrent builds a recorder safe for concurrent Record calls from
-// goroutine-per-node engines: each process ring has its own mutex.
-func NewConcurrent(n, perProc int) *Recorder {
-	return newRecorder(n, perProc, true)
-}
-
-func newRecorder(n, perProc int, concurrent bool) *Recorder {
 	if n <= 0 {
 		n = 1
 	}
@@ -185,16 +141,12 @@ func newRecorder(n, perProc int, concurrent bool) *Recorder {
 		perProc = DefaultPerProc
 	}
 	r := &Recorder{
-		rings:    make([]ring, n),
-		names:    []string{""}, // id 0 = no attribute
-		ids:      make(map[string]uint32, 8),
-		timeBase: "virtual",
+		rings: make([]ring, n),
+		names: []string{""}, // id 0 = no attribute
+		ids:   make(map[string]uint32, 8),
 	}
 	for i := range r.rings {
 		r.rings[i].buf = make([]Rec, perProc)
-	}
-	if concurrent {
-		r.locks = make([]sync.Mutex, n)
 	}
 	return r
 }
@@ -203,46 +155,6 @@ func newRecorder(n, perProc int, concurrent bool) *Recorder {
 // not choose one: enough to hold a detection's recent causal context
 // (last ~quarter second of a busy sensor) without mattering for memory.
 const DefaultPerProc = 256
-
-// N returns the number of process rings (0 for the nil recorder).
-func (r *Recorder) N() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.rings)
-}
-
-// Cap returns the per-process ring capacity.
-func (r *Recorder) Cap() int {
-	if r == nil || len(r.rings) == 0 {
-		return 0
-	}
-	return len(r.rings[0].buf)
-}
-
-// Concurrent reports whether the recorder was built with NewConcurrent.
-func (r *Recorder) Concurrent() bool {
-	return r != nil && r.locks != nil
-}
-
-// TimeBase returns the label of the time base Rec.At values live in.
-func (r *Recorder) TimeBase() string {
-	if r == nil {
-		return ""
-	}
-	return r.timeBase
-}
-
-// SetTimeBase labels the recorder's time base: "virtual" for DES engine
-// time (the default), "wall-us" for the live engine's wall-clock
-// microseconds. Dumps embed the label so tracedump never compares
-// spans across bases.
-func (r *Recorder) SetTimeBase(base string) {
-	if r == nil {
-		return
-	}
-	r.timeBase = base
-}
 
 // SetTrigger installs the dump sink invoked by TriggerDump. The harness
 // uses it to attach the obs snapshot and collect dumps; fn runs on the
@@ -295,41 +207,10 @@ func (r *Recorder) AttrName(id uint32) string {
 // Record appends one event to its process's ring, overwriting the
 // oldest once full. Out-of-range processes are dropped silently — the
 // recorder is diagnostics, it must never turn into a panic source.
-// The single-threaded path is two bounds checks and a struct store.
+// It is two bounds checks and a struct store, small enough to inline
+// into the transport's per-delivery path, where the compiler stores the
+// caller's Rec straight into the ring with no intermediate copy.
 func (r *Recorder) Record(rec Rec) {
-	if r == nil {
-		return
-	}
-	p := uint(rec.Proc)
-	if p >= uint(len(r.rings)) {
-		return
-	}
-	if r.locks != nil {
-		r.recordLocked(p, rec)
-		return
-	}
-	r.rings[p].put(rec)
-}
-
-// recordLocked is the concurrent-mode slow path. Keeping the mutex
-// calls out of Record keeps Record under the inlining budget, so the
-// DES hot path (transport Recv/Drop records) stores the Rec straight
-// into the ring with no intermediate copy.
-func (r *Recorder) recordLocked(p uint, rec Rec) {
-	r.locks[p].Lock()
-	r.rings[p].put(rec)
-	r.locks[p].Unlock()
-}
-
-// RecordUnlocked is Record minus the concurrent-mode dispatch, small
-// enough to inline into single-threaded hot paths: the Rec the caller
-// builds is stored straight into the ring with no intermediate copy or
-// call. It is only for callers that own the recorder's thread — the DES
-// transport and sensors, where the engine guarantees one goroutine.
-// On a recorder built with NewConcurrent it skips the ring lock, so
-// concurrent callers must keep using Record (the transport dispatches
-// on Concurrent() once per record).
-func (r *Recorder) RecordUnlocked(rec Rec) {
 	if r == nil {
 		return
 	}
@@ -346,17 +227,7 @@ func (r *Recorder) RecordUnlocked(rec Rec) {
 	g.total++
 }
 
-func (g *ring) put(rec Rec) {
-	g.buf[g.next] = rec
-	g.next++
-	if g.next == len(g.buf) {
-		g.next = 0
-	}
-	g.total++
-}
-
-// snapRing copies one ring's contents oldest-first (caller holds the
-// lock in concurrent mode).
+// snap copies one ring's contents oldest-first.
 func (g *ring) snap(out []Rec) []Rec {
 	if g.total >= uint64(len(g.buf)) {
 		out = append(out, g.buf[g.next:]...)
@@ -367,8 +238,8 @@ func (g *ring) snap(out []Rec) []Rec {
 
 // TriggerDump snapshots the rings of the involved processes (all of
 // them when procs is empty) into a Dump and hands it to the SetTrigger
-// sink. trigger names what fired (e.g. "detect", "fault:crash(2)",
-// "signal"); at is the engine time of the firing.
+// sink. trigger names what fired (e.g. "detect", "fault:crash(2)");
+// at is the engine time of the firing.
 func (r *Recorder) TriggerDump(trigger string, at sim.Time, procs ...int) {
 	if r == nil {
 		return

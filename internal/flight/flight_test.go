@@ -3,7 +3,6 @@ package flight
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
 
 	"pervasive/internal/obs"
@@ -13,12 +12,8 @@ import (
 func TestNilRecorderNoops(t *testing.T) {
 	var r *Recorder
 	r.Record(Rec{Kind: Sense, Proc: 0})
-	r.SetTimeBase("wall-us")
 	r.SetTrigger(func(*Dump) { t.Fatal("trigger on nil recorder") })
 	r.TriggerDump("x", 0)
-	if r.N() != 0 || r.Cap() != 0 || r.Concurrent() || r.TimeBase() != "" {
-		t.Fatal("nil recorder accessors must return zero values")
-	}
 	if r.Intern("attr") != 0 || r.AttrName(1) != "" {
 		t.Fatal("nil recorder interning must be inert")
 	}
@@ -112,7 +107,6 @@ func TestTriggerDump(t *testing.T) {
 
 func TestJSONLRoundTrip(t *testing.T) {
 	r := New(2, 8)
-	r.SetTimeBase("virtual")
 	attr := r.Intern("x")
 	r.Record(Rec{Kind: Sense, Proc: 0, Peer: NoPeer, At: 1, Seq: 1, Attr: attr, Value: 2.5, Clock: 1})
 	r.Record(Rec{Kind: Recv, Proc: 1, Peer: 0, At: 2, Seq: 1, Clock: 0, PeerClock: 1})
@@ -162,36 +156,6 @@ func TestDecodeRejectsBadDumps(t *testing.T) {
 		if _, err := DecodeJSONL(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: decode accepted invalid dump", name)
 		}
-	}
-}
-
-func TestConcurrentRecordAndSnapshot(t *testing.T) {
-	r := NewConcurrent(4, 64)
-	if !r.Concurrent() {
-		t.Fatal("NewConcurrent must report concurrent mode")
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 1; i <= 200; i++ {
-				r.Record(Rec{Kind: Sense, Proc: int32(p), Seq: uint64(i), At: sim.Time(i)})
-			}
-		}(p)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			_ = r.Snapshot("probe", sim.Time(i))
-		}
-	}()
-	wg.Wait()
-	<-done
-	d := r.Snapshot("final", 200)
-	if len(d.Events) != 4*64 {
-		t.Fatalf("got %d events, want %d", len(d.Events), 4*64)
 	}
 }
 

@@ -23,14 +23,6 @@ type Span struct {
 // Empty reports whether the span contains no instants.
 func (s Span) Empty() bool { return s.Hi <= s.Lo }
 
-// Len returns the span's duration.
-func (s Span) Len() sim.Duration {
-	if s.Empty() {
-		return 0
-	}
-	return s.Hi - s.Lo
-}
-
 // Allen is one of Allen's 13 interval relations.
 type Allen int
 
@@ -65,10 +57,6 @@ func (a Allen) String() string {
 	}
 	return allenNames[a]
 }
-
-// Inverse returns the converse relation: Classify(y, x) ==
-// Classify(x, y).Inverse().
-func (a Allen) Inverse() Allen { return Allen(len(allenNames) - 1 - int(a)) }
 
 // Classify returns the Allen relation of x to y. Both spans must be
 // non-empty; classifying an empty span panics, since Allen's algebra is
@@ -113,20 +101,4 @@ func Classify(x, y Span) Allen {
 // Intersects reports whether the spans share at least one instant.
 func Intersects(x, y Span) bool {
 	return !x.Empty() && !y.Empty() && x.Lo < y.Hi && y.Lo < x.Hi
-}
-
-// Intersection returns the (possibly empty) common span.
-func Intersection(x, y Span) Span {
-	lo := x.Lo
-	if y.Lo > lo {
-		lo = y.Lo
-	}
-	hi := x.Hi
-	if y.Hi < hi {
-		hi = y.Hi
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return Span{Lo: lo, Hi: hi}
 }

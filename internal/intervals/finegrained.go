@@ -36,6 +36,8 @@ func (r FineRelation) String() string {
 }
 
 // Coarse projects the fine relation onto the four coarse relations.
+//
+//lint:allow deadcode(paper model: the fine-grained interval relation suite, DESIGN §1.2)
 func (r FineRelation) Coarse() Relation {
 	get := func(k uint) bool { return r.Bits&(1<<k) != 0 }
 	switch {
@@ -76,6 +78,8 @@ var feasibleIndex = func() map[uint8]int {
 }()
 
 // FineRelations returns the canonical suite of orthogonal relations.
+//
+//lint:allow deadcode(paper model: the fine-grained interval relation suite, DESIGN §1.2)
 func FineRelations() []FineRelation {
 	out := make([]FineRelation, len(feasible))
 	for i, b := range feasible {
@@ -85,9 +89,13 @@ func FineRelations() []FineRelation {
 }
 
 // NumFineRelations is the size of the suite.
+//
+//lint:allow deadcode(paper model: the fine-grained interval relation suite, DESIGN §1.2)
 func NumFineRelations() int { return len(feasible) }
 
 // ClassifyFine returns the orthogonal relation of the pair (x, y).
+//
+//lint:allow deadcode(paper model: the fine-grained interval relation suite, DESIGN §1.2)
 func ClassifyFine(x, y POInterval) FineRelation {
 	bits := EndpointBits(x, y)
 	idx, ok := feasibleIndex[bits]
@@ -102,6 +110,8 @@ func ClassifyFine(x, y POInterval) FineRelation {
 
 // InverseFine returns the relation of (y, x) given that of (x, y): the
 // bit pattern with the two directional nibbles swapped.
+//
+//lint:allow deadcode(paper model: the fine-grained interval relation suite, DESIGN §1.2)
 func InverseFine(r FineRelation) FineRelation {
 	inv := (r.Bits >> 4) | (r.Bits << 4)
 	return FineRelation{Bits: inv, Index: feasibleIndex[inv]}
@@ -111,6 +121,8 @@ func InverseFine(r FineRelation) FineRelation {
 // processes the paper quotes as (2^R − 1)·C(n,2): the number of nonempty
 // disjunctions of orthogonal relations times the number of process pairs.
 // It saturates at 1<<62 to avoid overflow.
+//
+//lint:allow deadcode(paper model: the fine-grained interval relation suite, DESIGN §1.2)
 func SpecSpaceSize(n int) uint64 {
 	if n < 2 {
 		return 0

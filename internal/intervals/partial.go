@@ -11,6 +11,8 @@ type POInterval struct {
 }
 
 // Valid reports Start ≤ End.
+//
+//lint:allow deadcode(paper model: partial-order interval relations, DESIGN §1.2)
 func (iv POInterval) Valid() bool {
 	r := iv.Start.Compare(iv.End)
 	return r == clock.Before || r == clock.Same
@@ -26,6 +28,8 @@ func Precedes(x, y POInterval) bool {
 // PossiblyOverlap reports the Possibly(overlap) modality [10]: there is at
 // least one consistent observation in which x and y intersect, i.e.
 // neither wholly precedes the other.
+//
+//lint:allow deadcode(paper model: partial-order interval relations, DESIGN §1.2)
 func PossiblyOverlap(x, y POInterval) bool {
 	return !Precedes(x, y) && !Precedes(y, x)
 }
@@ -64,6 +68,8 @@ func (r Relation) String() string {
 }
 
 // Classify returns the coarse partial-order relation between x and y.
+//
+//lint:allow deadcode(paper model: partial-order interval relations, DESIGN §1.2)
 func ClassifyPO(x, y POInterval) Relation {
 	switch {
 	case Precedes(x, y):
@@ -91,6 +97,8 @@ func ClassifyPO(x, y POInterval) Relation {
 // derived; the coarse relations above are projections of them. Exposing
 // the raw bits lets applications specify any causality-based pairwise
 // timing relation of Section 3.1.1.b.i.
+//
+//lint:allow deadcode(paper model: partial-order interval relations, DESIGN §1.2)
 func EndpointBits(x, y POInterval) uint8 {
 	var bits uint8
 	rel := func(a, b clock.Vector) bool { return a.HappensBefore(b) }

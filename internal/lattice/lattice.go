@@ -159,27 +159,6 @@ func (e *Execution) partialConsistent(cut []int, upto int) bool {
 	return true
 }
 
-// CountConsistent returns the number of consistent cuts, up to limit
-// (limit <= 0 counts all), via a single Survey traversal. Callers that
-// need more than one statistic should call Survey directly so the
-// lattice is walked only once.
-func (e *Execution) CountConsistent(limit int64) int64 {
-	return e.Survey(SurveyOptions{Limit: limit}).Count
-}
-
-// LevelSizes returns, for each level ℓ (total number of included events),
-// how many consistent cuts have exactly ℓ events. The maximum entry is the
-// lattice's width; a totally ordered (slim) execution has all entries 1.
-func (e *Execution) LevelSizes() []int64 {
-	return e.Survey(SurveyOptions{}).LevelSizes
-}
-
-// Width returns the size of the largest level — 1 means the consistent
-// cuts form a single chain (the linear order of Δ=0 strobing).
-func (e *Execution) Width() int64 {
-	return e.Survey(SurveyOptions{}).Width
-}
-
 // Path returns the sequence of cuts the execution actually traversed in
 // true time, from the empty cut to the full cut — the "one path through np
 // of the O(p^n) states" of Section 4.2.4. It requires Times. Simultaneous
@@ -211,15 +190,6 @@ func (e *Execution) Path() [][]int {
 		path = append(path, append([]int(nil), cut...))
 	}
 	return path
-}
-
-// PathConsistent reports whether every cut along the actual path is
-// consistent under the execution's stamps. This is an invariant for both
-// causal and strobe stamps — a timestamp can only know events that already
-// happened — and serves as a sanity check that stamps were collected
-// correctly.
-func (e *Execution) PathConsistent() bool {
-	return e.PathConsistentAlong(e.Path())
 }
 
 // PathConsistentAlong is PathConsistent over an already computed path;

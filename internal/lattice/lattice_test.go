@@ -44,7 +44,7 @@ func chain(n, p int) *Execution {
 func TestIndependentLatticeIsFull(t *testing.T) {
 	// With no ordering constraints, every cut is consistent: (p+1)^n.
 	e := independent(3, 2)
-	if got := e.CountConsistent(0); got != 27 {
+	if got := e.Survey(SurveyOptions{}).Count; got != 27 {
 		t.Fatalf("count %d want 27", got)
 	}
 	if e.NumCuts() != 27 {
@@ -57,10 +57,10 @@ func TestChainLatticeIsLinear(t *testing.T) {
 	// the Δ=0 claim of §4.2.4.
 	e := chain(3, 2)
 	want := int64(3*2 + 1)
-	if got := e.CountConsistent(0); got != want {
+	if got := e.Survey(SurveyOptions{}).Count; got != want {
 		t.Fatalf("count %d want %d", got, want)
 	}
-	if w := e.Width(); w != 1 {
+	if w := e.Survey(SurveyOptions{}).Width; w != 1 {
 		t.Fatalf("width %d want 1", w)
 	}
 }
@@ -68,7 +68,7 @@ func TestChainLatticeIsLinear(t *testing.T) {
 func TestIndependentWidth(t *testing.T) {
 	e := independent(2, 2)
 	// Levels of the full 3x3 grid lattice: 1,2,3,2,1.
-	sizes := e.LevelSizes()
+	sizes := e.Survey(SurveyOptions{}).LevelSizes
 	want := []int64{1, 2, 3, 2, 1}
 	if len(sizes) != len(want) {
 		t.Fatalf("levels %v", sizes)
@@ -78,8 +78,8 @@ func TestIndependentWidth(t *testing.T) {
 			t.Fatalf("levels %v want %v", sizes, want)
 		}
 	}
-	if e.Width() != 3 {
-		t.Fatalf("width %d", e.Width())
+	if e.Survey(SurveyOptions{}).Width != 3 {
+		t.Fatalf("width %d", e.Survey(SurveyOptions{}).Width)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestConsistentCut(t *testing.T) {
 	if !e.ConsistentCut([]int{0, 0}) {
 		t.Fatal("empty cut should be consistent")
 	}
-	if got := e.CountConsistent(0); got != 3 {
+	if got := e.Survey(SurveyOptions{}).Count; got != 3 {
 		t.Fatalf("count %d want 3", got)
 	}
 }
@@ -123,7 +123,7 @@ func TestConsistentCutPanics(t *testing.T) {
 
 func TestEnumerateLimit(t *testing.T) {
 	e := independent(3, 3)
-	if got := e.CountConsistent(10); got != 10 {
+	if got := e.Survey(SurveyOptions{Limit: 10}).Count; got != 10 {
 		t.Fatalf("limited count %d", got)
 	}
 	var visited int
@@ -143,7 +143,7 @@ func TestEnumerateMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 2 + r.Intn(2)
 		e := randomExecution(r, n, 3)
-		fast := e.CountConsistent(0)
+		fast := e.Survey(SurveyOptions{}).Count
 		var slow int64
 		cut := make([]int, n)
 		var rec func(i int)
@@ -196,9 +196,9 @@ func TestStrobeSlimsLattice(t *testing.T) {
 	// Δ=0 chain yields the fewest.
 	r := stats.NewRNG(5)
 	n, p := 3, 3
-	full := independent(n, p).CountConsistent(0)
-	strobed := randomExecution(r, n, p).CountConsistent(0)
-	linear := chain(n, p).CountConsistent(0)
+	full := independent(n, p).Survey(SurveyOptions{}).Count
+	strobed := randomExecution(r, n, p).Survey(SurveyOptions{}).Count
+	linear := chain(n, p).Survey(SurveyOptions{}).Count
 	if !(linear <= strobed && strobed <= full) {
 		t.Fatalf("lattice sizes not ordered: linear=%d strobed=%d full=%d",
 			linear, strobed, full)
@@ -251,7 +251,7 @@ func TestPathConsistentInvariant(t *testing.T) {
 	r := stats.NewRNG(11)
 	for trial := 0; trial < 20; trial++ {
 		e := randomExecution(r, 2+r.Intn(3), 4)
-		if !e.PathConsistent() {
+		if !e.PathConsistentAlong(e.Path()) {
 			t.Fatalf("trial %d: actual path hit an inconsistent cut", trial)
 		}
 	}
@@ -302,6 +302,6 @@ func BenchmarkCountConsistent4x4(b *testing.B) {
 	e := randomExecution(r, 4, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.CountConsistent(0)
+		e.Survey(SurveyOptions{})
 	}
 }

@@ -56,33 +56,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"pervasive/internal/obs"
 	"pervasive/internal/runner"
-	"pervasive/internal/sim"
 )
-
-// obsReg is the optional metrics registry shared by all Survey calls;
-// the lattice engine is process-wide infrastructure, so its
-// instrumentation is too (same pattern as internal/runner).
-var obsReg atomic.Pointer[obs.Registry]
-
-// SetObs installs the registry Survey reports into: counters
-// lattice.surveys, lattice.cuts (cuts visited), lattice.expanded (cuts
-// whose successors were generated) and lattice.dedup_hits (duplicate
-// successors merged — always zero for the packed engine, whose
-// canonical generation never produces duplicates; nonzero only on the
-// string-key fallback), the lattice.frontier gauge (peak frontier size
-// via its high-watermark), and one span.lattice.survey histogram entry
-// per traversal in wall-clock µs. SetObs(nil) detaches.
-func SetObs(r *obs.Registry) { obsReg.Store(r) }
-
-// epoch anchors the engine's wall-clock span timestamps.
-var epoch = time.Now() //lint:allow determinism(span-epoch anchor: wall-clock timings feed obs spans only, never survey results)
-
-func wallNow() sim.Time { return sim.Time(time.Since(epoch).Microseconds()) } //lint:allow determinism(span-epoch arithmetic: timestamps feed obs spans only, never survey results)
 
 // forceStringKeys disables the packed-uint64 fast path; tests set it to
 // run the differential suite against the fallback representation too.
@@ -91,7 +67,7 @@ var forceStringKeys = false
 // SurveyOptions configures one lattice traversal.
 type SurveyOptions struct {
 	// Limit stops the survey after visiting this many consistent cuts
-	// (≤ 0 means no limit), mirroring CountConsistent's limit.
+	// (≤ 0 means no limit).
 	Limit int64
 	// Visit, if non-nil, is called for every consistent cut in
 	// deterministic order: level by level, lexicographic within a level.
@@ -344,17 +320,9 @@ var scratchPool = sync.Pool{New: func() any { return new(surveyScratch) }}
 
 // Survey traverses the lattice of consistent cuts exactly once,
 // level-synchronously from the empty cut, and returns count, level
-// sizes and width together. It is the fast path behind CountConsistent,
-// LevelSizes and Width; call it directly when more than one statistic
-// (or a per-cut visitor) is needed, so the lattice is walked only once.
+// sizes and width together, and optionally hands each cut to a visitor.
 func (e *Execution) Survey(opt SurveyOptions) *SurveyResult {
 	res := &SurveyResult{LevelSizes: make([]int64, e.Events()+1)}
-	reg := obsReg.Load()
-	var sp obs.Span
-	if reg != nil {
-		sp = reg.StartSpanAt("lattice.survey", wallNow())
-	}
-
 	sc := scratchPool.Get().(*surveyScratch)
 	s := &sc.run
 	*s = surveyRun{surveyPrep: e.prep()}
@@ -368,15 +336,6 @@ func (e *Execution) Survey(opt SurveyOptions) *SurveyResult {
 			res.Width = lv
 		}
 	}
-
-	if reg != nil {
-		reg.Counter("lattice.surveys").Inc()
-		reg.Counter("lattice.cuts").Add(res.Count)
-		reg.Counter("lattice.expanded").Add(s.expanded)
-		reg.Counter("lattice.dedup_hits").Add(s.dedup)
-		reg.Gauge("lattice.frontier").SetWithMax(0, s.peak)
-		sp.EndAt(wallNow())
-	}
 	scratchPool.Put(sc)
 	return res
 }
@@ -384,10 +343,9 @@ func (e *Execution) Survey(opt SurveyOptions) *SurveyResult {
 // surveyRun is one traversal's mutable state over the shared prep. The
 // expansion kernels keep no scratch here: in parallel mode every worker
 // expands its chunk through the same run header, so anything mutable
-// besides the (single-writer) counters would race.
+// would race.
 type surveyRun struct {
 	*surveyPrep
-	expanded, dedup, peak int64
 }
 
 // ---- packed-uint64 engine ----
@@ -660,9 +618,6 @@ func (s *surveyRun) runPacked(opt SurveyOptions, res *SurveyResult, sc *surveySc
 
 	plain := opt.Visit == nil && opt.Limit <= 0
 	for level := 0; len(cur) > 0; level++ {
-		if int64(len(cur)) > s.peak {
-			s.peak = int64(len(cur))
-		}
 		if plain {
 			res.Count += int64(len(cur))
 			res.LevelSizes[level] = int64(len(cur))
@@ -690,7 +645,6 @@ func (s *surveyRun) runPacked(opt SurveyOptions, res *SurveyResult, sc *surveySc
 				}
 			}
 		}
-		s.expanded += int64(len(cur))
 		if workers > 1 && len(cur) >= parallelMinFrontier {
 			next = s.expandParallel(opt.Parallelism, workers, cur, next, sc)
 		} else {
@@ -730,9 +684,6 @@ func (s *surveyRun) runStrings(opt SurveyOptions, res *SurveyResult) {
 	comp := make([]uint64, s.n)
 	seen := make(map[string][]int)
 	for level := 0; len(cur) > 0; level++ {
-		if int64(len(cur)) > s.peak {
-			s.peak = int64(len(cur))
-		}
 		for _, cut := range cur {
 			if opt.Limit > 0 && res.Count == opt.Limit {
 				res.Truncated = true
@@ -745,7 +696,6 @@ func (s *surveyRun) runStrings(opt SurveyOptions, res *SurveyResult) {
 				return
 			}
 		}
-		s.expanded += int64(len(cur))
 		for _, c := range cur {
 			for j, v := range c {
 				comp[j] = uint64(v)
@@ -759,9 +709,7 @@ func (s *surveyRun) runStrings(opt SurveyOptions, res *SurveyResult) {
 				for j, v := range succ {
 					binary.BigEndian.PutUint64(buf[8*j:], uint64(v))
 				}
-				if _, dup := seen[string(buf)]; dup {
-					s.dedup++
-				} else {
+				if _, dup := seen[string(buf)]; !dup {
 					seen[string(buf)] = succ
 				}
 			}

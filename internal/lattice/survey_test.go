@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pervasive/internal/clock"
-	"pervasive/internal/obs"
 	"pervasive/internal/sim"
 	"pervasive/internal/stats"
 )
@@ -267,40 +266,6 @@ func TestSurveyParallelDeterministic(t *testing.T) {
 	}
 	if hash(0) != hash(4) {
 		t.Fatal("parallel visitor sequence diverged from sequential")
-	}
-}
-
-func TestSurveyObsInstrumentation(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetObs(reg)
-	defer SetObs(nil)
-	e := independent(3, 3)
-	sv := e.Survey(SurveyOptions{})
-	if got := reg.Counter("lattice.surveys").Value(); got == 0 {
-		t.Fatal("lattice.surveys not counted")
-	}
-	if got := reg.Counter("lattice.cuts").Value(); got != sv.Count {
-		t.Fatalf("lattice.cuts %d want %d", got, sv.Count)
-	}
-	if reg.Counter("lattice.expanded").Value() == 0 {
-		t.Fatal("lattice.expanded not counted")
-	}
-	if got := reg.Counter("lattice.dedup_hits").Value(); got != 0 {
-		t.Fatalf("canonical generation must not produce duplicates, dedup_hits = %d", got)
-	}
-	if peak := reg.Gauge("lattice.frontier").Max(); peak != sv.Width {
-		t.Fatalf("frontier peak %d want width %d", peak, sv.Width)
-	}
-	if reg.Histogram("span.lattice.survey", nil).Count() == 0 {
-		t.Fatal("survey span not recorded")
-	}
-	// The string-key fallback has no canonical rule; its map still
-	// merges the grid's shared successors.
-	forceStringKeys = true
-	independent(3, 3).Survey(SurveyOptions{})
-	forceStringKeys = false
-	if reg.Counter("lattice.dedup_hits").Value() == 0 {
-		t.Fatal("the 4^3 grid has shared successors; the fallback's dedup_hits must be > 0")
 	}
 }
 

@@ -13,7 +13,6 @@
 package live
 
 import (
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,7 +21,6 @@ import (
 	"pervasive/internal/clock"
 	"pervasive/internal/core"
 	"pervasive/internal/faults"
-	"pervasive/internal/flight"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -56,13 +54,6 @@ type Config struct {
 	// epoch. Fault times are wall-clock µs since Start. Partitions and
 	// dup/reorder windows gate deliveries like the DES transport.
 	Faults *faults.Plan
-	// Flight, if non-nil, is the causal flight recorder. It must be
-	// built with flight.NewConcurrent over N+1 processes (node
-	// goroutines and delivery timers record concurrently; the extra
-	// ring is the checker's) — Start panics on a single-threaded
-	// recorder. Its time base is labeled "wall-us" and trigger-scoped
-	// dumps are collected into Network.Dumps().
-	Flight *flight.Recorder
 }
 
 // Network is a running live sensor network.
@@ -108,11 +99,6 @@ type Network struct {
 	// Metrics is the HTTP metrics endpoint when Config.MetricsAddr was
 	// set and the listener bound; nil otherwise. Closed by Stop.
 	Metrics *obs.MetricsServer
-
-	// dumpMu guards dumps, collected from whatever goroutine fires a
-	// flight trigger (fault timer, checker delivery).
-	dumpMu sync.Mutex
-	dumps  []*flight.Dump
 
 	// Resolved obs instruments; nil (no-ops) when Config.Obs is nil.
 	obsSends        *obs.Counter
@@ -175,21 +161,6 @@ func Start(cfg Config) *Network {
 		done:  make(chan struct{}),
 	}
 	nw.cfg.Obs.SetNow("wall-us", nw.Now)
-	if cfg.Flight != nil {
-		if !cfg.Flight.Concurrent() {
-			panic("live: Config.Flight must be built with flight.NewConcurrent")
-		}
-		cfg.Flight.SetTimeBase("wall-us")
-		cfg.Flight.SetTrigger(func(d *flight.Dump) {
-			if cfg.Obs != nil {
-				snap := cfg.Obs.Snapshot()
-				d.Metrics = &snap
-			}
-			nw.dumpMu.Lock()
-			nw.dumps = append(nw.dumps, d)
-			nw.dumpMu.Unlock()
-		})
-	}
 	nw.obsSends = cfg.Obs.Counter("live.sends")
 	nw.obsDrops = cfg.Obs.Counter("live.drops")
 	nw.obsBytes = cfg.Obs.Counter("live.bytes")
@@ -222,7 +193,6 @@ func Start(cfg Config) *Network {
 		nw.checker = core.NewScalarChecker(cfg.N, cfg.Pred)
 	}
 	nw.checker.SetObs(cfg.Obs)
-	nw.checker.SetFlight(cfg.Flight, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		n := &Node{
 			ID: i, nw: nw,
@@ -252,10 +222,8 @@ func (nw *Network) scheduleFaults(inj *faults.Injector) {
 	if inj == nil {
 		return
 	}
-	for _, ev := range inj.Transitions() {
-		if ev.Proc < 0 || ev.Proc >= nw.cfg.N {
-			panic(fmt.Sprintf("live: fault plan event targets process %d of %d", ev.Proc, nw.cfg.N))
-		}
+	if err := nw.cfg.Faults.Validate(nw.cfg.N); err != nil {
+		panic(err)
 	}
 	nw.fault = inj
 	spans := make([]obs.Span, nw.cfg.N)
@@ -271,9 +239,7 @@ func (nw *Network) scheduleFaults(inj *faults.Injector) {
 					nw.lifeMu.Lock()
 					spans[ev.Proc] = nw.cfg.Obs.StartSpanAt(
 						"faults.down.p"+strconv.Itoa(ev.Proc), nw.Now())
-					epoch := nw.nodes[ev.Proc].epoch
 					nw.lifeMu.Unlock()
-					nw.recordTransition(flight.Crash, ev.Proc, epoch, "fault:crash(p")
 				}
 			case faults.Recover:
 				if nw.recoverNode(ev.Proc) {
@@ -281,29 +247,12 @@ func (nw *Network) scheduleFaults(inj *faults.Injector) {
 					nw.lifeMu.Lock()
 					spans[ev.Proc].EndAt(nw.Now())
 					spans[ev.Proc] = obs.Span{}
-					epoch := nw.nodes[ev.Proc].epoch
 					nw.lifeMu.Unlock()
-					nw.recordTransition(flight.Recover, ev.Proc, epoch, "fault:recover(p")
 				}
 			}
 		})
 		nw.timers = append(nw.timers, t)
 	}
-}
-
-// recordTransition stamps a crash/recover flight record for node i and
-// triggers a full-fleet dump tagged with the transition.
-func (nw *Network) recordTransition(kind flight.Kind, i, epoch int, tag string) {
-	fl := nw.cfg.Flight
-	if fl == nil {
-		return
-	}
-	now := nw.Now()
-	fl.Record(flight.Rec{
-		Kind: kind, Proc: int32(i), Peer: flight.NoPeer,
-		Epoch: int32(epoch), At: now,
-	})
-	fl.TriggerDump(tag+strconv.Itoa(i)+")", now)
 }
 
 // crashNode stops node i's goroutine; queued and future deliveries drop.
@@ -356,30 +305,6 @@ drain:
 	nw.wg.Add(1)
 	go n.loop(n.die, n.dead)
 	return true
-}
-
-// MailboxHighWatermark returns the deepest any node's mailbox has been.
-func (nw *Network) MailboxHighWatermark() int64 { return nw.mailboxHW.Load() }
-
-// MailboxDrops returns deliveries dropped because a mailbox was full.
-func (nw *Network) MailboxDrops() int64 { return nw.mailboxDrops.Load() }
-
-// Dumps returns a copy of the flight dumps collected so far, in
-// trigger order. Call after Stop for the complete set.
-func (nw *Network) Dumps() []*flight.Dump {
-	nw.dumpMu.Lock()
-	defer nw.dumpMu.Unlock()
-	return append([]*flight.Dump(nil), nw.dumps...)
-}
-
-// SignalDump triggers an explicit full-fleet flight dump, tagged
-// "signal:<reason>" — the manual trigger class next to fault
-// transitions and checker detections.
-func (nw *Network) SignalDump(reason string) {
-	if nw.cfg.Flight == nil {
-		return
-	}
-	nw.cfg.Flight.TriggerDump("signal:"+reason, nw.Now())
 }
 
 // Now returns the network's virtual time (µs since Start).
@@ -440,20 +365,10 @@ func (n *Node) loop(die, dead chan struct{}) {
 func (n *Node) onSense(cmd senseCmd) {
 	n.seq++
 	msg := core.StrobeMsg{Proc: n.ID, Seq: n.seq, Epoch: n.epoch, Var: cmd.varName, Value: cmd.value}
-	var ownClock uint64
 	if n.vec != nil {
 		msg.Vec = n.vec.Strobe() // SVC1
-		ownClock = msg.Vec[n.ID]
 	} else {
 		msg.Scalar = n.sc.Strobe() // SSC1
-		ownClock = msg.Scalar
-	}
-	if fl := n.nw.cfg.Flight; fl != nil {
-		fl.Record(flight.Rec{
-			Kind: flight.Sense, Proc: int32(n.ID), Peer: flight.NoPeer,
-			Epoch: int32(n.epoch), Seq: uint64(n.seq), At: n.nw.Now(),
-			Attr: fl.Intern(cmd.varName), Clock: ownClock, Value: cmd.value,
-		})
 	}
 	n.nw.broadcast(n.ID, msg)
 }
@@ -464,19 +379,6 @@ func (n *Node) onStrobe(m core.StrobeMsg) {
 	} else if n.sc != nil && m.Vec == nil {
 		n.sc.OnStrobe(m.Scalar) // SSC2
 	}
-}
-
-// recordMsg stamps one Recv/Drop flight record for a strobe at dst.
-func (nw *Network) recordMsg(kind flight.Kind, dst int, m core.StrobeMsg) {
-	fl := nw.cfg.Flight
-	if fl == nil {
-		return
-	}
-	epoch, seq, clk := m.FlightStamp()
-	fl.Record(flight.Rec{
-		Kind: kind, Proc: int32(dst), Peer: int32(m.Proc),
-		Epoch: int32(epoch), Seq: uint64(seq), At: nw.Now(), PeerClock: clk,
-	})
 }
 
 // broadcast delivers the strobe to every other node and the checker, each
@@ -493,13 +395,11 @@ func (nw *Network) broadcast(src int, m core.StrobeMsg) {
 		if f != nil && f.Cut(src, peer.ID, now) {
 			f.Counts.PartitionDrops.Add(1)
 			nw.obsDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
 			continue
 		}
 		d, dropped := nw.sampleDelay(src, peer.ID)
 		if dropped {
 			nw.obsDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
 			continue
 		}
 		nw.scheduleDelivery(peer, m, d, now)
@@ -517,13 +417,11 @@ func (nw *Network) broadcast(src int, m core.StrobeMsg) {
 	if f != nil && f.Cut(src, nw.cfg.N, now) {
 		f.Counts.PartitionDrops.Add(1)
 		nw.obsDrops.Inc()
-		nw.recordMsg(flight.Drop, nw.cfg.N, m)
 		return
 	}
 	d, dropped := nw.sampleDelay(src, nw.cfg.N)
 	if dropped {
 		nw.obsDrops.Inc()
-		nw.recordMsg(flight.Drop, nw.cfg.N, m)
 		return
 	}
 	time.AfterFunc(nw.shape(d, now).Std(), func() {
@@ -535,7 +433,6 @@ func (nw *Network) broadcast(src int, m core.StrobeMsg) {
 		nw.checkerMu.Lock()
 		defer nw.checkerMu.Unlock()
 		nw.obsChecker.Inc()
-		nw.recordMsg(flight.Recv, nw.cfg.N, m)
 		nw.checker.OnStrobe(m, nw.Now())
 	})
 }
@@ -551,12 +448,10 @@ func (nw *Network) scheduleDelivery(peer *Node, m core.StrobeMsg, d sim.Duration
 				f.Counts.CrashDrops.Add(1)
 			}
 			nw.obsDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
 			return
 		}
 		select {
 		case peer.in <- m:
-			nw.recordMsg(flight.Recv, peer.ID, m)
 			depth := int64(len(peer.in))
 			for {
 				cur := nw.mailboxHW.Load()
@@ -568,7 +463,6 @@ func (nw *Network) scheduleDelivery(peer *Node, m core.StrobeMsg, d sim.Duration
 		default:
 			nw.mailboxDrops.Add(1)
 			nw.obsMailboxDrops.Inc()
-			nw.recordMsg(flight.Drop, peer.ID, m)
 		}
 	})
 }

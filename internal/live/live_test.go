@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pervasive/internal/core"
-	"pervasive/internal/flight"
 	"pervasive/internal/obs"
 	"pervasive/internal/predicate"
 	"pervasive/internal/sim"
@@ -207,62 +206,4 @@ func TestLiveObsMetricsAndEndpoint(t *testing.T) {
 	if _, err := http.Get("http://" + nw.Metrics.Addr + "/metrics"); err == nil {
 		t.Fatal("metrics endpoint still up after Stop")
 	}
-}
-
-func TestLiveFlightRecorderDumpsDetection(t *testing.T) {
-	fl := flight.NewConcurrent(3, 128) // 2 nodes + checker
-	nw := Start(Config{
-		N: 2, Seed: 8, Kind: core.VectorStrobe,
-		Delay:  sim.DeltaBounded{Min: 100, Max: 500},
-		Pred:   predicate.MustParse("x@0 == 1 && x@1 == 1"),
-		Flight: fl,
-	})
-	nw.Node(0).Sense("x", 1)
-	time.Sleep(10 * time.Millisecond)
-	nw.Node(1).Sense("x", 1)
-	time.Sleep(30 * time.Millisecond)
-	nw.SignalDump("end-of-test")
-	nw.Stop(20*time.Millisecond, 5*sim.Millisecond)
-
-	dumps := nw.Dumps()
-	if len(dumps) < 2 {
-		t.Fatalf("got %d dumps, want detect + signal", len(dumps))
-	}
-	var detect *flight.Dump
-	for _, d := range dumps {
-		if d.Trigger == "detect" {
-			detect = d
-		}
-	}
-	if detect == nil {
-		t.Fatal("no detection dump")
-	}
-	if detect.TimeBase != "wall-us" {
-		t.Fatalf("dump time base %q, want wall-us", detect.TimeBase)
-	}
-	// The dump's happens-before DAG must validate even though live runs
-	// are not deterministic: stamps, not timing, carry the causality.
-	if issues := flight.BuildDAG(detect).Validate(); len(issues) != 0 {
-		t.Fatalf("detection dump inconsistent: %v", issues)
-	}
-	kinds := map[string]int{}
-	for _, ev := range detect.Events {
-		kinds[ev.Kind]++
-	}
-	if kinds["sense"] == 0 || kinds["recv"] == 0 || kinds["apply"] == 0 || kinds["detect"] == 0 {
-		t.Fatalf("dump missing event kinds: %v", kinds)
-	}
-}
-
-func TestLiveFlightRequiresConcurrent(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on single-threaded recorder")
-		}
-	}()
-	Start(Config{
-		N: 1, Kind: core.VectorStrobe,
-		Pred:   predicate.MustParse("x@0 == 1"),
-		Flight: flight.New(2, 16),
-	})
 }

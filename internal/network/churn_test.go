@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 
+	"pervasive/internal/flight"
 	"pervasive/internal/sim"
 )
 
@@ -23,10 +24,10 @@ func TestFloodRespectsLinkRemovalMidRun(t *testing.T) {
 		nt.Register(i, func(Message, sim.Time) { reached[i]++ })
 	}
 	// First broadcast crosses the whole path.
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(0, func(sim.Time) { nt.BroadcastStamped(0, Raw{}, flight.Stamp{}) })
 	// Cut 1—2 before the second broadcast.
-	eng.At(100, func(sim.Time) { m.RemoveLink(1, 2) })
-	eng.At(200, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(100, func(sim.Time) { removeLink(m, 1, 2) })
+	eng.At(200, func(sim.Time) { nt.BroadcastStamped(0, Raw{}, flight.Stamp{}) })
 	eng.RunAll()
 	if reached[3] != 1 {
 		t.Fatalf("node 3 reached %d times; the cut should block the second flood", reached[3])
@@ -47,9 +48,9 @@ func TestFloodUsesNewLinks(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { got[i]++ })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) }) // node 2 unreachable
+	eng.At(0, func(sim.Time) { nt.BroadcastStamped(0, Raw{}, flight.Stamp{}) }) // node 2 unreachable
 	eng.At(10, func(sim.Time) { m.AddLink(1, 2) })
-	eng.At(20, func(sim.Time) { nt.Broadcast(0, Raw{}) }) // now reachable
+	eng.At(20, func(sim.Time) { nt.BroadcastStamped(0, Raw{}, flight.Stamp{}) }) // now reachable
 	eng.RunAll()
 	if got[2] != 1 {
 		t.Fatalf("node 2 received %d broadcasts, want 1", got[2])
@@ -64,7 +65,7 @@ func TestDirectBroadcastIgnoresOverlay(t *testing.T) {
 	nt := New(eng, m, sim.Synchronous{})
 	count := 0
 	nt.Register(2, func(Message, sim.Time) { count++ })
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(0, func(sim.Time) { nt.BroadcastStamped(0, Raw{}, flight.Stamp{}) })
 	eng.RunAll()
 	if count != 1 {
 		t.Fatalf("direct broadcast delivered %d", count)
@@ -83,7 +84,7 @@ func TestFloodDeliversOncePerBroadcastOnDenseGraph(t *testing.T) {
 	}
 	for k := 0; k < 5; k++ {
 		k := k
-		eng.At(sim.Time(k*1000), func(sim.Time) { nt.Broadcast(k%8, Raw{}) })
+		eng.At(sim.Time(k*1000), func(sim.Time) { nt.BroadcastStamped(k%8, Raw{}, flight.Stamp{}) })
 	}
 	eng.RunAll()
 	for i, c := range counts {
@@ -97,4 +98,11 @@ func TestFloodDeliversOncePerBroadcastOnDenseGraph(t *testing.T) {
 			t.Fatalf("node %d received %d (want %d)", i, c, 5-sentBySelf)
 		}
 	}
+}
+
+// removeLink deletes the undirected link i—j: production topologies only
+// grow, but the transport must read the overlay afresh at every hop.
+func removeLink(m *Mutable, i, j int) {
+	delete(m.adj[i], j)
+	delete(m.adj[j], i)
 }

@@ -4,22 +4,24 @@ import (
 	"testing"
 
 	"pervasive/internal/faults"
+	"pervasive/internal/flight"
 	"pervasive/internal/sim"
 )
 
 func TestCrashedProcessNeitherSendsNorReceives(t *testing.T) {
 	eng, nt := newTestNet(FullMesh{Nodes: 3}, sim.Synchronous{})
 	plan := faults.NewPlan().Crash(1, 10).Recover(1, 20)
-	nt.SetFaults(faults.NewInjector(plan))
+	f := faults.NewInjector(plan)
+	nt.SetFaults(f)
 	counts := make([]int, 3)
 	for i := 0; i < 3; i++ {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(5, func(sim.Time) { nt.Broadcast(1, Raw{Size: 1}) })  // up: delivers to 0 and 2
-	eng.At(12, func(sim.Time) { nt.Broadcast(1, Raw{Size: 1}) }) // down: suppressed
-	eng.At(15, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })   // down dst: dropped
-	eng.At(25, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })   // recovered: delivers
+	eng.At(5, func(sim.Time) { nt.BroadcastStamped(1, Raw{Size: 1}, flight.Stamp{}) })  // up: delivers to 0 and 2
+	eng.At(12, func(sim.Time) { nt.BroadcastStamped(1, Raw{Size: 1}, flight.Stamp{}) }) // down: suppressed
+	eng.At(15, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })                          // down dst: dropped
+	eng.At(25, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })                          // recovered: delivers
 	eng.RunAll()
 	if counts[0] != 1 || counts[2] != 1 {
 		t.Fatalf("peers received %v", counts)
@@ -27,14 +29,13 @@ func TestCrashedProcessNeitherSendsNorReceives(t *testing.T) {
 	if counts[1] != 1 {
 		t.Fatalf("crashed process received %d deliveries, want 1 post-recovery", counts[1])
 	}
-	f := nt.Faults()
 	if f.Counts.SuppressedSends.Load() != 1 {
 		t.Fatalf("suppressed sends %d", f.Counts.SuppressedSends.Load())
 	}
 	if f.Counts.CrashDrops.Load() != 1 {
 		t.Fatalf("crash drops %d", f.Counts.CrashDrops.Load())
 	}
-	if id := nt.Broadcast(1, Raw{Size: 1}); id == 0 {
+	if id := nt.BroadcastStamped(1, Raw{Size: 1}, flight.Stamp{}); id == 0 {
 		t.Fatal("recovered process should send again")
 	}
 }
@@ -44,13 +45,14 @@ func TestPartitionCutsBothDirectAndFloodTraffic(t *testing.T) {
 	for _, flood := range []bool{false, true} {
 		eng, nt := newTestNet(Ring{Nodes: 4}, sim.Synchronous{})
 		nt.Flood = flood
-		nt.SetFaults(faults.NewInjector(plan))
+		f := faults.NewInjector(plan)
+		nt.SetFaults(f)
 		counts := make([]int, 4)
 		for i := 0; i < 4; i++ {
 			i := i
 			nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 		}
-		eng.At(10, func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+		eng.At(10, func(sim.Time) { nt.BroadcastStamped(0, Raw{Size: 1}, flight.Stamp{}) })
 		eng.RunAll()
 		if counts[1] != 1 {
 			t.Fatalf("flood=%v: same-group peer received %d", flood, counts[1])
@@ -58,11 +60,11 @@ func TestPartitionCutsBothDirectAndFloodTraffic(t *testing.T) {
 		if counts[2] != 0 || counts[3] != 0 {
 			t.Fatalf("flood=%v: traffic crossed the partition: %v", flood, counts)
 		}
-		if nt.Faults().Counts.PartitionDrops.Load() == 0 {
+		if f.Counts.PartitionDrops.Load() == 0 {
 			t.Fatalf("flood=%v: no partition drops counted", flood)
 		}
 		// After the window heals, traffic crosses again.
-		eng.At(150, func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+		eng.At(150, func(sim.Time) { nt.BroadcastStamped(0, Raw{Size: 1}, flight.Stamp{}) })
 		eng.RunAll()
 		if counts[2] != 1 || counts[3] != 1 {
 			t.Fatalf("flood=%v: post-heal delivery missing: %v", flood, counts)
@@ -73,7 +75,8 @@ func TestPartitionCutsBothDirectAndFloodTraffic(t *testing.T) {
 func TestDuplicateWindowRedelivers(t *testing.T) {
 	eng, nt := newTestNet(FullMesh{Nodes: 2}, sim.DeltaBounded{Min: 1, Max: 9})
 	plan := faults.NewPlan().Duplicate(0, sim.Never, 1.0) // always duplicate
-	nt.SetFaults(faults.NewInjector(plan))
+	f := faults.NewInjector(plan)
+	nt.SetFaults(f)
 	got := 0
 	nt.Register(1, func(Message, sim.Time) { got++ })
 	eng.At(0, func(sim.Time) { nt.Send(0, 1, Raw{Size: 1}) })
@@ -81,8 +84,8 @@ func TestDuplicateWindowRedelivers(t *testing.T) {
 	if got != 2 {
 		t.Fatalf("deliveries %d, want original + duplicate", got)
 	}
-	if nt.Faults().Counts.Duplicates.Load() != 1 {
-		t.Fatalf("duplicates %d", nt.Faults().Counts.Duplicates.Load())
+	if f.Counts.Duplicates.Load() != 1 {
+		t.Fatalf("duplicates %d", f.Counts.Duplicates.Load())
 	}
 	if nt.Stats.Sent != 1 {
 		t.Fatalf("duplicates must not count as sends: %d", nt.Stats.Sent)
@@ -92,7 +95,8 @@ func TestDuplicateWindowRedelivers(t *testing.T) {
 func TestReorderWindowJittersDelays(t *testing.T) {
 	eng, nt := newTestNet(FullMesh{Nodes: 2}, sim.Synchronous{})
 	plan := faults.NewPlan().Reorder(0, sim.Never, 50)
-	nt.SetFaults(faults.NewInjector(plan))
+	f := faults.NewInjector(plan)
+	nt.SetFaults(f)
 	var ats []sim.Time
 	nt.Register(1, func(_ Message, now sim.Time) { ats = append(ats, now) })
 	for i := 0; i < 20; i++ {
@@ -113,7 +117,7 @@ func TestReorderWindowJittersDelays(t *testing.T) {
 	if !jittered {
 		t.Fatal("no message got reorder jitter")
 	}
-	if nt.Faults().Counts.Reorders.Load() == 0 {
+	if f.Counts.Reorders.Load() == 0 {
 		t.Fatal("reorders not counted")
 	}
 }
@@ -133,7 +137,7 @@ func TestFloodDedupStaysBounded(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		at := sim.Time(r * 100) // spaced beyond the max flood settle time
 		src := r % 9
-		eng.At(at, func(sim.Time) { nt.Broadcast(src, Raw{Size: 1}) })
+		eng.At(at, func(sim.Time) { nt.BroadcastStamped(src, Raw{Size: 1}, flight.Stamp{}) })
 	}
 	// Interleave settling checks by running round by round.
 	for r := 0; r < rounds; r++ {
@@ -172,7 +176,7 @@ func TestFloodMasksSingleLinkLoss(t *testing.T) {
 	}
 	const casts = 10
 	for r := 0; r < casts; r++ {
-		eng.At(sim.Time(r*100), func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+		eng.At(sim.Time(r*100), func(sim.Time) { nt.BroadcastStamped(0, Raw{Size: 1}, flight.Stamp{}) })
 	}
 	eng.RunAll()
 	if counts[1] != casts || counts[2] != casts || counts[3] != casts {
@@ -187,7 +191,7 @@ func TestFloodMasksSingleLinkLoss(t *testing.T) {
 		ntD.Register(i, func(Message, sim.Time) { countsD[i]++ })
 	}
 	for r := 0; r < casts; r++ {
-		engD.At(sim.Time(r*100), func(sim.Time) { ntD.Broadcast(0, Raw{Size: 1}) })
+		engD.At(sim.Time(r*100), func(sim.Time) { ntD.BroadcastStamped(0, Raw{Size: 1}, flight.Stamp{}) })
 	}
 	engD.RunAll()
 	if countsD[1] != 0 {
@@ -211,7 +215,7 @@ func TestCrashedReceiverDoesNotRelayFlood(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(10, func(sim.Time) { nt.Broadcast(0, Raw{Size: 1}) })
+	eng.At(10, func(sim.Time) { nt.BroadcastStamped(0, Raw{Size: 1}, flight.Stamp{}) })
 	eng.RunAll()
 	if counts[1] != 0 || counts[2] != 0 {
 		t.Fatalf("crashed relay forwarded traffic: %v", counts)

@@ -114,12 +114,6 @@ func (sn *ShardedNet) N() int { return len(sn.handlers) }
 // Part returns shard k's sending facade.
 func (sn *ShardedNet) Part(k int) *ShardPart { return sn.parts[k] }
 
-// PartOf returns the facade of the shard owning process p.
-func (sn *ShardedNet) PartOf(p int) *ShardPart { return sn.parts[sn.smap.Of(p)] }
-
-// Map returns the process→shard partition.
-func (sn *ShardedNet) Map() ShardMap { return sn.smap }
-
 // Register installs the delivery handler for process i.
 func (sn *ShardedNet) Register(i int, h Handler) { sn.handlers[i] = h }
 
@@ -183,9 +177,6 @@ func (sn *ShardedNet) priFor(src int) uint64 {
 	return pri
 }
 
-// N returns the number of processes (core.Transport surface).
-func (p *ShardPart) N() int { return p.owner.N() }
-
 // Send transmits a direct logical message (see Net.Send). Returns the
 // message ID, or 0 when a fault plan has src crashed.
 func (p *ShardPart) Send(src, dst int, pl Payload) uint64 {
@@ -204,14 +195,10 @@ func (p *ShardPart) SendStamped(src, dst int, pl Payload, st flight.Stamp) uint6
 	return id
 }
 
-// Broadcast delivers pl to every reachable process except src: all of them,
-// or the topology neighborhood plus AlwaysReach under NeighborScope.
-func (p *ShardPart) Broadcast(src int, pl Payload) uint64 {
-	return p.BroadcastStamped(src, pl, flight.Stamp{})
-}
-
-// BroadcastStamped is Broadcast carrying the payload's logical identity.
-// Each destination is an independent link-level transmission with its own
+// BroadcastStamped delivers pl, carrying the payload's logical identity
+// st, to every reachable process except src: all of them, or the
+// topology neighborhood plus AlwaysReach under NeighborScope. Each
+// destination is an independent link-level transmission with its own
 // priority key; the logical message ID is the first key minted.
 func (p *ShardPart) BroadcastStamped(src int, pl Payload, st flight.Stamp) uint64 {
 	sn := p.owner

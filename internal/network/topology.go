@@ -10,19 +10,13 @@
 // bytes for the overhead experiments.
 package network
 
-import (
-	"fmt"
-
-	"pervasive/internal/stats"
-)
+import "pervasive/internal/stats"
 
 // Topology describes the overlay L. Implementations must be symmetric:
-// Connected(i, j) == Connected(j, i).
+// j is in Neighbors(i) exactly when i is in Neighbors(j).
 type Topology interface {
 	// N returns the number of processes.
 	N() int
-	// Connected reports whether a link i—j currently exists.
-	Connected(i, j int) bool
 	// Neighbors returns the processes adjacent to i.
 	Neighbors(i int) []int
 }
@@ -32,9 +26,6 @@ type FullMesh struct{ Nodes int }
 
 // N implements Topology.
 func (m FullMesh) N() int { return m.Nodes }
-
-// Connected implements Topology.
-func (m FullMesh) Connected(i, j int) bool { return i != j && inRange(m.Nodes, i, j) }
 
 // Neighbors implements Topology.
 func (m FullMesh) Neighbors(i int) []int {
@@ -53,18 +44,6 @@ type Ring struct{ Nodes int }
 // N implements Topology.
 func (r Ring) N() int { return r.Nodes }
 
-// Connected implements Topology.
-func (r Ring) Connected(i, j int) bool {
-	if !inRange(r.Nodes, i, j) || i == j || r.Nodes < 2 {
-		return false
-	}
-	d := i - j
-	if d < 0 {
-		d = -d
-	}
-	return d == 1 || d == r.Nodes-1
-}
-
 // Neighbors implements Topology.
 func (r Ring) Neighbors(i int) []int {
 	if r.Nodes < 2 {
@@ -81,23 +60,6 @@ type Grid struct{ Rows, Cols int }
 
 // N implements Topology.
 func (g Grid) N() int { return g.Rows * g.Cols }
-
-// Connected implements Topology.
-func (g Grid) Connected(i, j int) bool {
-	if !inRange(g.N(), i, j) || i == j {
-		return false
-	}
-	ri, ci := i/g.Cols, i%g.Cols
-	rj, cj := j/g.Cols, j%g.Cols
-	dr, dc := ri-rj, ci-cj
-	if dr < 0 {
-		dr = -dr
-	}
-	if dc < 0 {
-		dc = -dc
-	}
-	return dr+dc == 1
-}
 
 // Neighbors implements Topology.
 func (g Grid) Neighbors(i int) []int {
@@ -134,17 +96,6 @@ func NewMutable(n int) *Mutable {
 	return m
 }
 
-// NewMutableFrom copies the links of t into a mutable topology.
-func NewMutableFrom(t Topology) *Mutable {
-	m := NewMutable(t.N())
-	for i := 0; i < t.N(); i++ {
-		for _, j := range t.Neighbors(i) {
-			m.AddLink(i, j)
-		}
-	}
-	return m
-}
-
 // N implements Topology.
 func (m *Mutable) N() int { return m.n }
 
@@ -155,20 +106,6 @@ func (m *Mutable) AddLink(i, j int) {
 	}
 	m.adj[i][j] = true
 	m.adj[j][i] = true
-}
-
-// RemoveLink deletes the undirected link i—j.
-func (m *Mutable) RemoveLink(i, j int) {
-	if !inRange(m.n, i, j) {
-		return
-	}
-	delete(m.adj[i], j)
-	delete(m.adj[j], i)
-}
-
-// Connected implements Topology.
-func (m *Mutable) Connected(i, j int) bool {
-	return inRange(m.n, i, j) && m.adj[i][j]
 }
 
 // Neighbors implements Topology.
@@ -259,12 +196,3 @@ func BFSTree(t Topology, root int) []int {
 }
 
 func inRange(n, i, j int) bool { return i >= 0 && i < n && j >= 0 && j < n }
-
-// Describe renders a short human-readable topology summary.
-func Describe(t Topology) string {
-	links := 0
-	for i := 0; i < t.N(); i++ {
-		links += len(t.Neighbors(i))
-	}
-	return fmt.Sprintf("%T(n=%d, links=%d)", t, t.N(), links/2)
-}

@@ -148,9 +148,6 @@ func (nt *Net) SetObs(r *obs.Registry) {
 // store within the kernel bench's <5% overhead budget.
 func (nt *Net) SetFlight(r *flight.Recorder) { nt.flightRec = r }
 
-// Flight returns the attached flight recorder (nil when none).
-func (nt *Net) Flight() *flight.Recorder { return nt.flightRec }
-
 // recordFlight stamps one Recv/Drop record for m at its destination.
 // m is passed by pointer: this runs once per delivery, and copying the
 // Message on top of the 64-byte Rec ring store doubles the recorder's
@@ -161,19 +158,12 @@ func (nt *Net) recordFlight(kind flight.Kind, m *Message, now sim.Time) {
 		Kind: kind, Proc: int32(m.Dst), Peer: int32(m.Src), At: now,
 		Epoch: m.Stamp.Epoch, Seq: m.Stamp.Seq, PeerClock: m.Stamp.Clock,
 	}
-	if nt.flightRec.Concurrent() {
-		nt.flightRec.Record(rec)
-		return
-	}
-	nt.flightRec.RecordUnlocked(rec)
+	nt.flightRec.Record(rec)
 }
 
 // SetFaults installs (or, with nil, removes) the fault injector gating
 // this transport. See package faults for the semantics.
 func (nt *Net) SetFaults(in *faults.Injector) { nt.fault = in }
-
-// Faults returns the installed fault injector (nil when none).
-func (nt *Net) Faults() *faults.Injector { return nt.fault }
 
 // New creates a transport over the topology with the given delay model.
 func New(eng *sim.Engine, topo Topology, delay sim.DelayModel) *Net {
@@ -200,13 +190,6 @@ func (nt *Net) N() int { return len(nt.handlers) }
 // previous handler).
 func (nt *Net) Register(i int, h Handler) { nt.handlers[i] = h }
 
-// Delay returns the transport's delay model.
-func (nt *Net) Delay() sim.DelayModel { return nt.delay }
-
-// SetDelay replaces the delay model (useful for mid-run degradation
-// experiments).
-func (nt *Net) SetDelay(d sim.DelayModel) { nt.delay = d }
-
 // Send transmits p from src to dst as one logical (direct) message,
 // regardless of overlay links; use for checker traffic where L is assumed
 // routable. It returns the message ID, or 0 when a fault plan has src
@@ -232,20 +215,15 @@ func (nt *Net) SendStamped(src, dst int, p Payload, st flight.Stamp) uint64 {
 	return id
 }
 
-// Broadcast implements the strobe protocols' System-wide_Broadcast: p is
-// delivered to every process except src. With Flood unset each peer gets
-// an independent direct transmission; with Flood set the message floods
-// hop-by-hop over the overlay with duplicate suppression. It returns the
-// message ID, or 0 when a fault plan has src crashed. Like Send it
-// attaches no flight stamp; strobe traffic uses BroadcastStamped.
-func (nt *Net) Broadcast(src int, p Payload) uint64 {
-	return nt.BroadcastStamped(src, p, flight.Stamp{})
-}
-
-// BroadcastStamped is Broadcast carrying the payload's logical identity
-// (see SendStamped). A flood stamps once per logical message — every
-// hop's copy inherits the Stamp fields — instead of re-deriving it from
-// the payload at each of the O(edges) relay deliveries.
+// BroadcastStamped implements the strobe protocols' System-wide_Broadcast:
+// p is delivered to every process except src. With Flood unset each peer
+// gets an independent direct transmission; with Flood set the message
+// floods hop-by-hop over the overlay with duplicate suppression. It
+// returns the message ID, or 0 when a fault plan has src crashed. st is
+// the payload's logical identity (see SendStamped): a flood stamps once
+// per logical message — every hop's copy inherits the Stamp fields —
+// instead of re-deriving it from the payload at each of the O(edges)
+// relay deliveries.
 func (nt *Net) BroadcastStamped(src int, p Payload, st flight.Stamp) uint64 {
 	now := nt.eng.Now()
 	if f := nt.fault; f != nil && f.Down(src, now) {
@@ -352,7 +330,7 @@ func (nt *Net) handle(m Message, now sim.Time) {
 	nt.Stats.Delivered++
 	// The Recv record is built in place rather than through recordFlight:
 	// this is the one per-delivery site (drops go through recordFlight),
-	// and with RecordUnlocked inlined here the compiler stores the Rec
+	// and with Record inlined here the compiler stores the Rec
 	// straight into the ring — no call frame, no intermediate copy. That
 	// is what keeps the recorder inside the kernel bench's <5% budget
 	// (~6ns per delivery; a call-based path measures more than double).
@@ -361,11 +339,7 @@ func (nt *Net) handle(m Message, now sim.Time) {
 			Kind: flight.Recv, Proc: int32(m.Dst), Peer: int32(m.Src), At: now,
 			Epoch: m.Stamp.Epoch, Seq: m.Stamp.Seq, PeerClock: m.Stamp.Clock,
 		}
-		if r.Concurrent() {
-			r.Record(rec)
-		} else {
-			r.RecordUnlocked(rec)
-		}
+		r.Record(rec)
 	}
 	if h := nt.handlers[m.Dst]; h != nil {
 		h(m, now)
@@ -442,14 +416,4 @@ func (nt *Net) flightDone(id uint64) {
 	for i := range nt.seen {
 		delete(nt.seen[i], id)
 	}
-}
-
-// dedupEntries reports the total number of live flood-dedup entries
-// across all processes (test hook for the bounded-memory guarantee).
-func (nt *Net) dedupEntries() int {
-	n := 0
-	for i := range nt.seen {
-		n += len(nt.seen[i])
-	}
-	return n
 }

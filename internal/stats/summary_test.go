@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -19,26 +18,18 @@ func TestOnlineAgainstDirect(t *testing.T) {
 	if math.Abs(o.Mean()-mean) > 1e-12 {
 		t.Fatalf("online mean %.6f direct %.6f", o.Mean(), mean)
 	}
-	var ss float64
-	for _, x := range xs {
-		ss += (x - mean) * (x - mean)
-	}
-	wantVar := ss / float64(len(xs)-1)
-	if math.Abs(o.Var()-wantVar) > 1e-12 {
-		t.Fatalf("online var %.6f direct %.6f", o.Var(), wantVar)
-	}
-	if o.Min() != 1 || o.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", o.Min(), o.Max())
+	if o.Max() != 9 {
+		t.Fatalf("max = %v", o.Max())
 	}
 }
 
 func TestOnlineEmptyAndSingle(t *testing.T) {
 	var o Online
-	if o.Mean() != 0 || o.Var() != 0 || o.CI95() != 0 {
+	if o.Mean() != 0 || o.Max() != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
 	o.Add(7)
-	if o.Mean() != 7 || o.Var() != 0 {
+	if o.Mean() != 7 || o.Max() != 7 {
 		t.Fatal("single sample stats wrong")
 	}
 }
@@ -52,7 +43,7 @@ func TestOnlineMeanWithinBoundsProperty(t *testing.T) {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return true // skip degenerate inputs
 			}
-			// Avoid float overflow in Welford's m2 accumulation.
+			// Avoid float overflow in the running mean's deltas.
 			if math.Abs(x) > 1e100 {
 				return true
 			}
@@ -65,132 +56,10 @@ func TestOnlineMeanWithinBoundsProperty(t *testing.T) {
 		}
 		m := o.Mean()
 		ok = ok && m >= lo-1e-9*(1+math.Abs(lo)) && m <= hi+1e-9*(1+math.Abs(hi))
-		ok = ok && o.Var() >= 0
+		ok = ok && o.Max() == hi
 		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := Percentile(xs, 1); p != 10 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if p := Percentile(xs, 0.5); math.Abs(p-5.5) > 1e-12 {
-		t.Fatalf("p50 = %v, want 5.5", p)
-	}
-	if p := Percentile([]float64{42}, 0.7); p != 42 {
-		t.Fatalf("single-element percentile = %v", p)
-	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Fatal("empty percentile should be NaN")
-	}
-}
-
-func TestPercentileMonotoneProperty(t *testing.T) {
-	r := NewRNG(99)
-	f := func(raw []float64) bool {
-		xs := raw[:0]
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) < 2 {
-			return true
-		}
-		sort.Float64s(xs)
-		p1 := r.Float64()
-		p2 := r.Float64()
-		if p1 > p2 {
-			p1, p2 = p2, p1
-		}
-		return Percentile(xs, p1) <= Percentile(xs, p2)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{5, 1, 3})
-	if s.N != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	if math.Abs(s.Mean-3) > 1e-12 {
-		t.Fatalf("mean %v", s.Mean)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Fatal("empty summary N != 0")
-	}
-}
-
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Summarize(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatal("Summarize mutated input")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Fatalf("bin %d count %d", i, c)
-		}
-	}
-	h.Add(-5) // clamps to first bin
-	h.Add(99) // clamps to last bin
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Fatal("clamping failed")
-	}
-	if h.Total() != 12 {
-		t.Fatalf("total %d", h.Total())
-	}
-	if c := h.BinCenter(0); math.Abs(c-0.5) > 1e-12 {
-		t.Fatalf("bin center %v", c)
-	}
-}
-
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 3, 3)
-	h.Add(1.5)
-	h.Add(1.4)
-	h.Add(0.1)
-	if m := h.Mode(); math.Abs(m-1.5) > 1e-12 {
-		t.Fatalf("mode %v", m)
-	}
-}
-
-func TestHistogramPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 3)
-}
-
-func TestOnlineNAndCI95(t *testing.T) {
-	var o Online
-	for i := 0; i < 100; i++ {
-		o.Add(float64(i % 10))
-	}
-	if o.N() != 100 {
-		t.Fatalf("N %d", o.N())
-	}
-	ci := o.CI95()
-	if ci <= 0 || ci > o.Std() {
-		t.Fatalf("CI95 %v implausible (std %v)", ci, o.Std())
 	}
 }

@@ -117,6 +117,8 @@ type Matcher struct {
 }
 
 // Pairs computes all matches.
+//
+//lint:allow deadcode(paper model: timing.Matcher's all-pairs relative-timing relation, DESIGN §1.2)
 func (m Matcher) Pairs(xs, ys []intervals.Span) []Match {
 	var out []Match
 	for xi, x := range xs {
@@ -174,6 +176,8 @@ func (m Matcher) UnmatchedYOneToOne(xs, ys []intervals.Span) []int {
 // UnmatchedY returns the indices of Y occurrences with no matching X —
 // e.g. biometric presentations with no preceding password entry, the
 // alarm condition of the secure-banking scenario.
+//
+//lint:allow deadcode(paper model: timing.Matcher's all-pairs relative-timing relation, DESIGN §1.2)
 func (m Matcher) UnmatchedY(xs, ys []intervals.Span) []int {
 	matched := make([]bool, len(ys))
 	for _, mt := range m.Pairs(xs, ys) {

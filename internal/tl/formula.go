@@ -2,7 +2,6 @@ package tl
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pervasive/internal/sim"
@@ -22,16 +21,6 @@ func NewTrace(horizon sim.Time) *Trace {
 // Set installs an atom from raw spans.
 func (tr *Trace) Set(name string, spans []Span) {
 	tr.Atoms[name] = NewSignal(spans, tr.Horizon)
-}
-
-// Names returns the atom names, sorted.
-func (tr *Trace) Names() []string {
-	out := make([]string, 0, len(tr.Atoms))
-	for n := range tr.Atoms {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Formula is an MTL formula evaluated over a Trace.

@@ -203,11 +203,3 @@ func TestHistoricallyPastBoundaryConvention(t *testing.T) {
 	}
 	_ = tr
 }
-
-func TestTraceNames(t *testing.T) {
-	tr := demoTrace()
-	names := tr.Names()
-	if len(names) != 2 || names[0] != "alarm" || names[1] != "occupied" {
-		t.Fatalf("names %v", names)
-	}
-}

@@ -76,14 +76,6 @@ func (s Signal) TrueTime() sim.Duration {
 	return d
 }
 
-// AlwaysTrue reports whether the signal is true on all of [0, horizon).
-func (s Signal) AlwaysTrue() bool {
-	return len(s.Spans) == 1 && s.Spans[0].Lo == 0 && s.Spans[0].Hi == s.Horizon
-}
-
-// NeverTrue reports whether the signal is false everywhere.
-func (s Signal) NeverTrue() bool { return len(s.Spans) == 0 }
-
 // Not returns the complement within [0, horizon).
 func (s Signal) Not() Signal {
 	out := Signal{Horizon: s.Horizon}

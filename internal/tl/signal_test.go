@@ -27,9 +27,6 @@ func TestNewSignalDropsEmpty(t *testing.T) {
 	if len(s.Spans) != 0 {
 		t.Fatalf("spans %v", s.Spans)
 	}
-	if !s.NeverTrue() {
-		t.Fatal("NeverTrue false")
-	}
 }
 
 func TestAt(t *testing.T) {
@@ -55,10 +52,10 @@ func TestNotInvolution(t *testing.T) {
 	if len(nn.Spans) != 2 || nn.Spans[0] != (Span{10, 20}) || nn.Spans[1] != (Span{50, 70}) {
 		t.Fatalf("double negation %v", nn.Spans)
 	}
-	if !s.Or(n).AlwaysTrue() {
+	if or := s.Or(n); len(or.Spans) != 1 || or.Spans[0] != (Span{0, 100}) {
 		t.Fatal("s ∨ ¬s not a tautology")
 	}
-	if !s.And(n).NeverTrue() {
+	if len(s.And(n).Spans) != 0 {
 		t.Fatal("s ∧ ¬s not a contradiction")
 	}
 }
@@ -110,7 +107,7 @@ func TestAlwaysFiniteTraceConvention(t *testing.T) {
 	}
 	// All-true signal: G holds everywhere including near the horizon.
 	full := sig(100, Span{0, 100})
-	if !full.Always(0, 5).AlwaysTrue() {
+	if g := full.Always(0, 5); len(g.Spans) != 1 || g.Spans[0] != (Span{0, 100}) {
 		t.Fatal("G over all-true signal should be all-true")
 	}
 }

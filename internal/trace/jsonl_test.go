@@ -146,28 +146,6 @@ func TestIndexMaintainedByAppend(t *testing.T) {
 	}
 }
 
-func TestIndexInvalidatedBySort(t *testing.T) {
-	tr := New(2)
-	tr.Append(Record{Proc: 1, Type: Sense, At: 30})
-	tr.Append(Record{Proc: 0, Type: Sense, At: 10})
-	if got := tr.ByProcess(1); len(got) != 1 || got[0].At != 30 {
-		t.Fatalf("pre-sort %v", got)
-	}
-	tr.SortByTime()
-	if got := tr.ByProcess(0); len(got) != 1 || got[0].At != 10 {
-		t.Fatalf("post-sort %v", got)
-	}
-	// Direct mutation + InvalidateIndex.
-	tr.Records = tr.Records[:1]
-	tr.InvalidateIndex()
-	if got := tr.ByProcess(1); got != nil {
-		t.Fatalf("after truncation %v", got)
-	}
-	if tr.Counts()[Sense] != 1 {
-		t.Fatalf("counts after truncation %v", tr.Counts())
-	}
-}
-
 func BenchmarkByProcessIndexed(b *testing.B) {
 	tr := New(8)
 	for i := 0; i < 100_000; i++ {

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"pervasive/internal/clock"
 	"pervasive/internal/obs"
@@ -63,9 +62,8 @@ type Trace struct {
 	// Index over Records, built lazily on first ByProcess/Counts and
 	// maintained incrementally by Append. byProc holds, per process,
 	// the indices of its records in recorded order; counts mirrors the
-	// per-type totals. Both are dropped together by InvalidateIndex —
-	// Append's incremental path assumes byProc != nil implies counts is
-	// in sync.
+	// per-type totals. Both are built together — Append's incremental
+	// path assumes byProc != nil implies counts is in sync.
 	byProc [][]int
 	counts map[Type]int
 }
@@ -91,13 +89,6 @@ func (t *Trace) Append(r Record) {
 
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.Records) }
-
-// InvalidateIndex drops the per-process index. Append and SortByTime
-// maintain or invalidate it automatically; call this only after
-// mutating Records directly.
-func (t *Trace) InvalidateIndex() {
-	t.byProc, t.counts = nil, nil
-}
 
 func (t *Trace) buildIndex() {
 	t.byProc = make([][]int, t.N)
@@ -141,18 +132,6 @@ func (t *Trace) Counts() map[Type]int {
 		m[k] = v
 	}
 	return m
-}
-
-// SortByTime orders records by (At, Proc) stably. It invalidates the
-// per-process index, which refers to records by position.
-func (t *Trace) SortByTime() {
-	sort.SliceStable(t.Records, func(i, j int) bool {
-		if t.Records[i].At != t.Records[j].At {
-			return t.Records[i].At < t.Records[j].At
-		}
-		return t.Records[i].Proc < t.Records[j].Proc
-	})
-	t.InvalidateIndex()
 }
 
 // EncodeJSON writes the trace as a single JSON object.

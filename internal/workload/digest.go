@@ -30,23 +30,5 @@ func Digest(evs []Event) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ValuesDigest hashes only (obj, attr, value), ignoring times — the
-// identity the live engine can honor: a replay feeds the same mutations
-// in the same order, but wall-clock timestamps are not reproducible.
-func ValuesDigest(evs []Event) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, ev := range evs {
-		binary.LittleEndian.PutUint64(buf[:], uint64(ev.Obj))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(ev.Attr)))
-		h.Write(buf[:])
-		h.Write([]byte(ev.Attr))
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(ev.Val))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // LogDigest is Digest over a ground-truth world log.
 func LogDigest(log []world.Event) string { return Digest(FromLog(log)) }

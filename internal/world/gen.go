@@ -114,28 +114,3 @@ func (rw RandomWalk) Install(w *World, horizon sim.Time) {
 			w.Set(rw.Obj, rw.Attr, v)
 		})
 }
-
-// PoissonPulses raises an attribute to 1 for a fixed Width at Poisson
-// arrivals with the given mean gap — isolated spikes whose overlap across
-// processes is the raw material of race conditions.
-type PoissonPulses struct {
-	Obj     int
-	Attr    string
-	MeanGap sim.Duration
-	Width   sim.Duration
-}
-
-// Install starts the pulse train on w until the horizon.
-func (pp PoissonPulses) Install(w *World, horizon sim.Time) {
-	r := w.rng.Fork()
-	Repeat(w.eng, r, stats.Exponential{MeanV: float64(pp.MeanGap)}, 0, horizon,
-		func(now sim.Time) {
-			if w.Get(pp.Obj, pp.Attr) == 1 {
-				return // still inside a previous pulse
-			}
-			w.Set(pp.Obj, pp.Attr, 1)
-			w.eng.At(now+pp.Width, func(sim.Time) {
-				w.Set(pp.Obj, pp.Attr, 0)
-			})
-		})
-}

@@ -96,26 +96,6 @@ func TestRandomWalkClamps(t *testing.T) {
 	}
 }
 
-func TestPoissonPulsesShape(t *testing.T) {
-	eng := sim.NewEngine(5)
-	w := New(eng)
-	o := w.AddObject("spike", nil)
-	width := 20 * sim.Millisecond
-	PoissonPulses{Obj: o, Attr: "p", MeanGap: 200 * sim.Millisecond, Width: width}.
-		Install(w, 30*sim.Second)
-	eng.RunAll()
-	pred := func(get func(int, string) float64) bool { return get(o, "p") == 1 }
-	ivs := TrueIntervals(w.Log(), pred, 30*sim.Second)
-	if len(ivs) < 50 {
-		t.Fatalf("too few pulses: %d", len(ivs))
-	}
-	for _, iv := range ivs {
-		if iv.End-iv.Start != width {
-			t.Fatalf("pulse width %v want %v", iv.End-iv.Start, width)
-		}
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	run := func() int {
 		eng := sim.NewEngine(42)

@@ -63,7 +63,6 @@ type World struct {
 	log       []Event
 	discard   bool
 	listeners map[AttrKey][]Listener
-	all       []Listener
 	rules     []CovertRule
 }
 
@@ -87,12 +86,6 @@ func (w *World) AddObject(name string, attrs map[string]float64) int {
 	return o.ID
 }
 
-// NumObjects returns the number of objects in O.
-func (w *World) NumObjects() int { return len(w.objects) }
-
-// Name returns the object's name.
-func (w *World) Name(obj int) string { return w.objects[obj].Name }
-
 // Get returns the current value of an attribute (0 if never set).
 func (w *World) Get(obj int, attr string) float64 {
 	return w.objects[obj].attrs[attr]
@@ -101,11 +94,6 @@ func (w *World) Get(obj int, attr string) float64 {
 // Set changes an attribute spontaneously at the current engine time.
 func (w *World) Set(obj int, attr string, v float64) {
 	w.set(obj, attr, v, NoCause)
-}
-
-// Add increments an attribute spontaneously.
-func (w *World) Add(obj int, attr string, dv float64) {
-	w.set(obj, attr, w.Get(obj, attr)+dv, NoCause)
 }
 
 func (w *World) set(obj int, attr string, v float64, cause int) {
@@ -130,9 +118,6 @@ func (w *World) fire(ev Event) {
 	for _, l := range w.listeners[AttrKey{ev.Object, ev.Attr}] {
 		l(ev)
 	}
-	for _, l := range w.all {
-		l(ev)
-	}
 }
 
 // Subscribe attaches a listener to one attribute of one object. This
@@ -142,10 +127,6 @@ func (w *World) Subscribe(obj int, attr string, l Listener) {
 	k := AttrKey{obj, attr}
 	w.listeners[k] = append(w.listeners[k], l)
 }
-
-// SubscribeAll attaches a listener to every world event (an omniscient
-// observer; used by oracles and traces, not by realistic sensors).
-func (w *World) SubscribeAll(l Listener) { w.all = append(w.all, l) }
 
 // Log returns the ground-truth event log so far. The returned slice is the
 // live log; callers must not modify it.
@@ -178,13 +159,6 @@ type CovertRule struct {
 // AddCovertRule installs a covert-channel rule.
 func (w *World) AddCovertRule(r CovertRule) { w.rules = append(w.rules, r) }
 
-// DisableRules detaches the covert-channel overlay. Replays of a
-// recorded ground-truth log call it before pumping the log back in: the
-// rules' effects are already events in the recording, and leaving the
-// overlay live would fire them a second time (and advance the world's
-// RNG), breaking byte-identity.
-func (w *World) DisableRules() { w.rules = nil }
-
 func (w *World) applyRules(ev Event) {
 	for _, r := range w.rules {
 		if r.SrcObj != ev.Object || r.SrcAttr != ev.Attr {
@@ -213,6 +187,8 @@ func (w *World) applyRules(ev Event) {
 
 // StateAt replays the log and returns all attribute values as of time t
 // (inclusive).
+//
+//lint:allow deadcode(test oracle: scenario tests check ground-truth intervals against the replayed world state)
 func (w *World) StateAt(t sim.Time) map[AttrKey]float64 {
 	state := make(map[AttrKey]float64)
 	for _, ev := range w.log {
@@ -293,15 +269,6 @@ func TrueIntervals(log []Event, pred StatePredicate, horizon sim.Time) []Interva
 		out = append(out, Interval{Start: start, End: horizon})
 	}
 	return out
-}
-
-// TotalTrueTime sums the durations of the intervals.
-func TotalTrueTime(ivs []Interval) sim.Duration {
-	var d sim.Duration
-	for _, iv := range ivs {
-		d += iv.End - iv.Start
-	}
-	return d
 }
 
 // CausalPairs extracts the world-plane causality relation from the log as

@@ -43,7 +43,6 @@ func benchKernel(b *testing.B, instrumented, flightOn bool) {
 	var rec *flight.Recorder
 	if flightOn {
 		rec = flight.New(n, flight.DefaultPerProc)
-		rec.SetTimeBase("virtual")
 	}
 	var lastEng *sim.Engine
 	b.StopTimer()
