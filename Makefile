@@ -4,7 +4,10 @@
 
 GO ?= go
 
-.PHONY: check build vet lint test test-race test-perfbench race-live bench-obs bench-obs-smoke bench-kernel bench-lattice bench-faults bench-shard bench-checker bench-workload bench
+# The suites cmd/bench records, one BENCH_<suite>.json each.
+BENCH_SUITES := kernel lattice faults shard checker workload
+
+.PHONY: check build vet lint test test-race test-perfbench race-live bench-obs bench-obs-smoke $(addprefix bench-,$(BENCH_SUITES)) fuzz-smoke bench
 
 check: build vet lint bench-obs-smoke test-race test-perfbench
 
@@ -63,45 +66,20 @@ bench-obs:
 bench-obs-smoke:
 	$(GO) test -run xxx -bench DESKernel -benchtime 1x .
 
-# Kernel fast-path numbers (index-heap event list, zero-alloc hot path,
-# parallel runner wall clock); rewrites the recorded BENCH_kernel.json.
-bench-kernel:
-	$(GO) run ./cmd/benchkernel -o BENCH_kernel.json
+# Recorded benchmark suites: `make bench-<suite>` rewrites
+# BENCH_<suite>.json via cmd/bench (see its doc comment for what each
+# suite measures). A static pattern rule, because implicit rules never
+# apply to .PHONY targets.
+$(addprefix bench-,$(BENCH_SUITES)): bench-%:
+	$(GO) run ./cmd/bench $*
 
-# Lattice engine numbers (single-pass Survey vs the recursive-enumerator
-# oracle, 4x4 and 6x6 workloads, suite wall clock); rewrites the recorded
-# BENCH_lattice.json.
-bench-lattice:
-	$(GO) run ./cmd/benchlattice -o BENCH_lattice.json
-
-# Fault-injection overhead (nil-injector fast path vs an active plan);
-# rewrites the recorded BENCH_faults.json. The bar: a run with no plan
-# costs nothing measurable.
-bench-faults:
-	$(GO) run ./cmd/benchfaults -o BENCH_faults.json
-
-# Sharded-engine scale numbers (legacy dense/race-aware configuration vs
-# sparse sharded kernel, shard-count digest identity at p=10240, max-p
-# row); rewrites the recorded BENCH_shard.json. Takes ~20s: the legacy
-# configuration is measured through p=1024 and projected beyond (its
-# O(p^2)-per-strobe race scan would take ~45 minutes at p=10240).
-bench-shard:
-	$(GO) run ./cmd/benchshard -o BENCH_shard.json
-
-# Checker-tree scale numbers (flat StrobeChecker vs the hierarchical
-# checker tree on an aggregate predicate, fan-out sweep, per-aggregator
-# memory bound); rewrites the recorded BENCH_checker.json. Takes ~5s:
-# the flat checker's O(p)-per-report evaluation is measured directly
-# through p=16384.
-bench-checker:
-	$(GO) run ./cmd/benchchecker -o BENCH_checker.json
-
-# Workload-layer numbers (statistical generator throughput, trace-codec
-# bandwidth and bytes/event, record->replay overhead); rewrites the
-# recorded BENCH_workload.json. Every row doubles as a round-trip or
-# replay-identity check.
-bench-workload:
-	$(GO) run ./cmd/benchworkload -o BENCH_workload.json
+# Ten seconds of fuzzing on each hostile-input decoder: the workload
+# trace codec, the strobe-stamp batch codec and the checker-tree sync
+# batch. CI runs it in the test job.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStampBatch$$' -fuzztime 10s ./internal/clock/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/checker/
 
 bench: bench-lattice
 	$(GO) test -run xxx -bench . -benchtime 1x ./...

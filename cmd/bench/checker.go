@@ -1,24 +1,7 @@
-// Command benchchecker records the hierarchical checker tree's scale
-// numbers into BENCH_checker.json (via `make bench-checker`): sustained
-// strobe-report throughput at the detection root for the flat
-// StrobeChecker vs the checker tree on an aggregate predicate
-// (`sum(p) >= K`, the shape whose flat evaluation is O(p) per report),
-// a fan-out sweep at p=4096, and the bounded-memory claim — the largest
-// aggregator footprint vs the flat checker's resident state as the
-// fleet grows 16x at fixed region size.
-//
-// Both checkers consume the identical deterministic report stream and
-// their detected occurrence lists are compared byte for byte, so every
-// throughput row doubles as a differential check.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
-	"strings"
 	"time"
 
 	"pervasive/internal/checker"
@@ -28,7 +11,21 @@ import (
 	"pervasive/internal/sim"
 )
 
-type throughputRow struct {
+// The checker suite measures sustained strobe-report throughput at the
+// detection root for the flat StrobeChecker vs the checker tree on an
+// aggregate predicate (`sum(p) >= K`, the shape whose flat evaluation is
+// O(p) per report), a fan-out sweep at p=4096, and the bounded-memory
+// claim — the largest aggregator footprint vs the flat checker's
+// resident state as the fleet grows 16x at fixed region size. Both
+// checkers consume the identical deterministic report stream and their
+// detected occurrence lists are compared, so every throughput row
+// doubles as a differential check.
+const checkerDescription = "hierarchical checker tree (regional aggregators, batched upward sync, " +
+	"incremental clause evaluation) vs the flat StrobeChecker on an aggregate " +
+	"predicate whose flat evaluation is O(p) per report. Identical deterministic " +
+	"report stream everywhere; occurrence lists compared per row."
+
+type checkerThroughputRow struct {
 	P       int `json:"p"`
 	Fanout  int `json:"fanout"`
 	Reports int `json:"reports"`
@@ -48,7 +45,7 @@ type throughputRow struct {
 	MaxAggBytes    int `json:"max_aggregator_bytes"`
 }
 
-type fanoutRow struct {
+type checkerFanoutRow struct {
 	P         int     `json:"p"`
 	Fanout    int     `json:"fanout"`
 	TreeRps   float64 `json:"tree_reports_per_sec"`
@@ -58,17 +55,10 @@ type fanoutRow struct {
 	Identical bool    `json:"identical_detection"`
 }
 
-type report struct {
-	Description string `json:"description"`
-	Command     string `json:"command"`
-	Date        string `json:"date"`
-	Go          string `json:"go"`
-	CPU         string `json:"cpu"`
-	CPUs        int    `json:"cpus"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-
-	Throughput []throughputRow `json:"throughput"`
-	FanoutAt4K []fanoutRow     `json:"fanout_sweep_p4096"`
+type checkerReport struct {
+	stamp
+	Throughput []checkerThroughputRow `json:"throughput"`
+	FanoutAt4K []checkerFanoutRow     `json:"fanout_sweep_p4096"`
 
 	// SpeedupAt4096 is the tree-over-flat throughput ratio at p=4096
 	// (the acceptance bar is >= 3x at p >= 4096).
@@ -83,10 +73,10 @@ type report struct {
 	Notes             string  `json:"notes"`
 }
 
-// stream replays the deterministic synthetic workload into sink: rounds
-// full sweeps of the fleet, every process toggling its value each round,
-// seq and time strictly advancing. Returns the report count.
-func stream(p, rounds int, sink func(proc, seq int, v float64, at sim.Time)) int {
+// reportStream replays the deterministic synthetic workload into sink:
+// rounds full sweeps of the fleet, every process toggling its value each
+// round, seq and time strictly advancing. Returns the report count.
+func reportStream(p, rounds int, sink func(proc, seq int, v float64, at sim.Time)) int {
 	at := sim.Time(0)
 	n := 0
 	for round := 0; round < rounds; round++ {
@@ -99,78 +89,46 @@ func stream(p, rounds int, sink func(proc, seq int, v float64, at sim.Time)) int
 	return n
 }
 
-// pred is the aggregate detection predicate: flat evaluation walks all p
+// aggregatePred is the detection predicate: flat evaluation walks all p
 // processes per applied report; the tree folds each report into running
 // clause totals in O(1).
-func pred(p int) predicate.Cond {
+func aggregatePred(p int) predicate.Cond {
 	return predicate.MustParse(fmt.Sprintf("sum(p) >= %d", p/3))
 }
 
 func runFlat(p, rounds int) (wallMs float64, digest string, stateBytes int, reports int) {
-	c := core.NewScalarChecker(p, pred(p))
+	c := core.NewScalarChecker(p, aggregatePred(p))
 	start := time.Now()
-	reports = stream(p, rounds, func(proc, seq int, v float64, at sim.Time) {
+	reports = reportStream(p, rounds, func(proc, seq int, v float64, at sim.Time) {
 		c.OnStrobe(core.StrobeMsg{
 			Proc: proc, Seq: seq, Var: "p", Value: v,
 			Sparse: clock.SparseStamp{{Proc: proc, Val: uint64(seq)}},
 		}, at)
 	})
-	horizon := sim.Time(reports + 1)
-	c.Finish(horizon)
-	wallMs = float64(time.Since(start)) / float64(time.Millisecond)
+	c.Finish(sim.Time(reports + 1))
+	wallMs = ms(time.Since(start))
 	digest = fmt.Sprint(c.Occurrences(), c.Applied, c.Stale)
 	return wallMs, digest, c.StateBytes(), reports
 }
 
 func runTree(p, fanout, rounds int) (wallMs float64, digest string, tr *checker.Tree) {
-	tr = checker.New(checker.Config{N: p, Pred: pred(p), Fanout: fanout})
+	tr = checker.New(checker.Config{N: p, Pred: aggregatePred(p), Fanout: fanout})
 	start := time.Now()
-	reports := stream(p, rounds, func(proc, seq int, v float64, at sim.Time) {
+	reports := reportStream(p, rounds, func(proc, seq int, v float64, at sim.Time) {
 		tr.OnReport(checker.Report{
 			Proc: proc, Seq: seq, Var: "p", Value: v,
 			Sparse: clock.SparseStamp{{Proc: proc, Val: uint64(seq)}},
 		}, at)
 	})
-	horizon := sim.Time(reports + 1)
-	tr.Finish(horizon)
-	wallMs = float64(time.Since(start)) / float64(time.Millisecond)
+	tr.Finish(sim.Time(reports + 1))
+	wallMs = ms(time.Since(start))
 	digest = fmt.Sprint(tr.Occurrences(), tr.Stat.Applied, tr.Stat.Stale)
 	return wallMs, digest, tr
 }
 
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return runtime.GOARCH
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return runtime.GOARCH
-}
-
-func main() {
-	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
-	flag.Parse()
-
-	progress := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
+func runChecker(st stamp) (any, string) {
 	rps := func(n int, ms float64) float64 { return float64(n) / (ms / 1000) }
-
-	r := report{
-		Description: "hierarchical checker tree (regional aggregators, batched upward sync, " +
-			"incremental clause evaluation) vs the flat StrobeChecker on an aggregate " +
-			"predicate whose flat evaluation is O(p) per report. Identical deterministic " +
-			"report stream everywhere; occurrence lists compared per row.",
-		Command:    "make bench-checker (go run ./cmd/benchchecker -o BENCH_checker.json)",
-		Date:       time.Now().Format("2006-01-02"),
-		Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		CPU:        cpuModel(),
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	r.IdenticalAll = true
+	r := checkerReport{stamp: st, IdenticalAll: true}
 
 	// Main curve: fixed region size (256 processes per aggregator), report
 	// volume scaled down as p grows so the flat checker's O(p·reports)
@@ -180,7 +138,7 @@ func main() {
 		fanout := pt.p / 256
 		flatMs, flatDigest, flatBytes, n := runFlat(pt.p, pt.rounds)
 		treeMs, treeDigest, tr := runTree(pt.p, fanout, pt.rounds)
-		row := throughputRow{
+		row := checkerThroughputRow{
 			P: pt.p, Fanout: fanout, Reports: n,
 			FlatWallMs: flatMs, TreeWallMs: treeMs,
 			FlatRps: rps(n, flatMs), TreeRps: rps(n, treeMs),
@@ -206,7 +164,7 @@ func main() {
 	for _, fanout := range []int{2, 8, 32, 128} {
 		treeMs, treeDigest, tr := runTree(4096, fanout, 4)
 		n := 4096 * 4
-		row := fanoutRow{
+		row := checkerFanoutRow{
 			P: 4096, Fanout: fanout, TreeRps: rps(n, treeMs),
 			Batches: tr.Stat.Batches, Coalesced: tr.Stat.Coalesced,
 			WireBytes: tr.Stat.WireBytes,
@@ -238,20 +196,6 @@ func main() {
 		r.SpeedupAt4096, r.AggSublinearRatio,
 		last.FlatStateBytes, last.P, last.MaxAggBytes, r.IdenticalAll)
 
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchchecker:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if *out == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchchecker:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (p=4096: %.1fx vs flat; identical=%v; agg sublinear %.3f)\n",
-		*out, r.SpeedupAt4096, r.IdenticalAll, r.AggSublinearRatio)
+	return r, fmt.Sprintf("p=4096: %.1fx vs flat; identical=%v; agg sublinear %.3f",
+		r.SpeedupAt4096, r.IdenticalAll, r.AggSublinearRatio)
 }

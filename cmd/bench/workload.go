@@ -1,21 +1,8 @@
-// Command benchworkload records the workload layer's numbers into
-// BENCH_workload.json (via `make bench-workload`): statistical-generator
-// materialization throughput, trace-codec encode/decode bandwidth and
-// density (the delta-coded format's bytes/event), and the record→replay
-// overhead of driving a scenario from a decoded trace instead of its
-// generators. Every codec row round-trips its stream and compares
-// digests; every replay row compares the replayed run's output against
-// the generated baseline, so the report doubles as a correctness check.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"reflect"
-	"runtime"
-	"strings"
 	"time"
 
 	"pervasive/internal/scenario"
@@ -23,7 +10,13 @@ import (
 	"pervasive/internal/workload"
 )
 
-type genRow struct {
+const workloadDescription = "workload layer: statistical generator materialization throughput, " +
+	"delta-coded trace codec bandwidth and density, and record->replay overhead " +
+	"of scenario runs driven from decoded traces. Codec rows round-trip and " +
+	"compare digests; replay rows compare detection output against the " +
+	"generated baseline."
+
+type workloadGenRow struct {
 	Name    string  `json:"name"`
 	Events  int     `json:"events"`
 	WallMs  float64 `json:"wall_ms"`
@@ -31,7 +24,7 @@ type genRow struct {
 	Horizon string  `json:"horizon"`
 }
 
-type codecRow struct {
+type workloadCodecRow struct {
 	Name          string  `json:"name"`
 	Events        int     `json:"events"`
 	EncodedBytes  int     `json:"encoded_bytes"`
@@ -42,7 +35,7 @@ type codecRow struct {
 	Identical bool `json:"roundtrip_identical"`
 }
 
-type replayRow struct {
+type workloadReplayRow struct {
 	Scenario string `json:"scenario"`
 	Events   int    `json:"events"`
 	// GenerateWallMs runs the scenario from its generators; ReplayWallMs
@@ -55,18 +48,11 @@ type replayRow struct {
 	Identical bool `json:"identical_output"`
 }
 
-type report struct {
-	Description string `json:"description"`
-	Command     string `json:"command"`
-	Date        string `json:"date"`
-	Go          string `json:"go"`
-	CPU         string `json:"cpu"`
-	CPUs        int    `json:"cpus"`
-	GOMAXPROCS  int    `json:"gomaxprocs"`
-
-	Generators []genRow    `json:"generator_throughput"`
-	Codec      []codecRow  `json:"codec"`
-	Replay     []replayRow `json:"record_replay"`
+type workloadReport struct {
+	stamp
+	Generators []workloadGenRow    `json:"generator_throughput"`
+	Codec      []workloadCodecRow  `json:"codec"`
+	Replay     []workloadReplayRow `json:"record_replay"`
 
 	// IntegralBytesPerEvent is the codec density on the integral hall
 	// stream (bar: < 8 — the format's point over raw 20-byte records).
@@ -80,46 +66,28 @@ type report struct {
 	Notes          string  `json:"notes"`
 }
 
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
+// roundTrip encodes evs as a trace and decodes it again. The input is
+// the encoder's own output, so a decode error is a codec bug.
+func roundTrip(horizon sim.Time, evs []workload.Event) []workload.Event {
+	dec, err := workload.Decode((&workload.Trace{Horizon: horizon, Events: evs}).Encode())
 	if err != nil {
-		return runtime.GOARCH
+		panic(err)
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
-		}
-	}
-	return runtime.GOARCH
+	return dec.Events
 }
 
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func main() {
-	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
-	flag.Parse()
-	progress := func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
-
-	r := report{
-		Description: "workload layer: statistical generator materialization throughput, " +
-			"delta-coded trace codec bandwidth and density, and record->replay overhead " +
-			"of scenario runs driven from decoded traces. Codec rows round-trip and " +
-			"compare digests; replay rows compare detection output against the " +
-			"generated baseline.",
-		Command:    "make bench-workload (go run ./cmd/benchworkload -o BENCH_workload.json)",
-		Date:       time.Now().Format("2006-01-02"),
-		Go:         runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH,
-		CPU:        cpuModel(),
-		CPUs:       runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	r.IdenticalAll = true
+func runWorkload(st stamp) (any, string) {
+	r := workloadReport{stamp: st, IdenticalAll: true}
 
 	// --- generator materialization throughput ---
 	type genCase struct {
 		name    string
 		horizon sim.Time
 		src     workload.Source
+	}
+	cohortObjs := make([]int, 32)
+	for i := range cohortObjs {
+		cohortObjs[i] = i
 	}
 	cases := []genCase{
 		{"toggler-4096", 60 * sim.Second, workload.TogglerFleet{
@@ -135,7 +103,7 @@ func main() {
 			Seed: 4, Attr: "p", MeanBurstGap: 200 * sim.Millisecond,
 			Xm: 2, Alpha: 1.1, PulseGap: 3 * sim.Millisecond, Width: sim.Millisecond}},
 		{"cohort-32", 2 * sim.Minute, workload.Cohort{
-			Seed: 5, Objs: seqInts(32), Attr: "p", MeanGap: 10 * sim.Millisecond,
+			Seed: 5, Objs: cohortObjs, Attr: "p", MeanGap: 10 * sim.Millisecond,
 			Width: 5 * sim.Millisecond, Rho: 0.7, Lag: 2 * sim.Millisecond,
 			Jitter: sim.Millisecond}},
 		{"mobility-walk", 60 * sim.Minute, workload.MobilityWalk{
@@ -145,7 +113,7 @@ func main() {
 		start := time.Now()
 		evs := c.src.Events(c.horizon)
 		wall := time.Since(start)
-		row := genRow{
+		row := workloadGenRow{
 			Name: c.name, Events: len(evs), WallMs: ms(wall),
 			PerSec:  float64(len(evs)) / wall.Seconds(),
 			Horizon: c.horizon.String(),
@@ -171,11 +139,10 @@ func main() {
 		dec, err := workload.Decode(data)
 		decWall := time.Since(start)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchworkload: decode:", err)
-			os.Exit(1)
+			panic(err)
 		}
 		mb := float64(len(data)) / (1 << 20)
-		row := codecRow{
+		row := workloadCodecRow{
 			Name: c.name, Events: len(evs), EncodedBytes: len(data),
 			BytesPerEvent: float64(len(data)) / float64(len(evs)),
 			EncodeMBps:    mb / encWall.Seconds(),
@@ -206,27 +173,18 @@ func main() {
 	logA := workload.LogDigest(hallA.Harness.World.Log())
 
 	start = time.Now()
-	trc := &workload.Trace{Horizon: hallCfg.Horizon, Events: hallA.Events}
-	dec, err := workload.Decode(trc.Encode())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchworkload:", err)
-		os.Exit(1)
-	}
-	hallCfg.Workload = workload.EventSource(dec.Events)
+	hallCfg.Workload = workload.EventSource(roundTrip(hallCfg.Horizon, hallA.Events))
 	hallB := scenario.NewHall(hallCfg)
 	resB := hallB.Run()
 	hallRep := time.Since(start)
-	row := replayRow{
+	r.Replay = append(r.Replay, workloadReplayRow{
 		Scenario: "hall", Events: len(hallA.Events),
 		GenerateWallMs: ms(hallGen), ReplayWallMs: ms(hallRep),
 		ReplayRatio: hallRep.Seconds() / hallGen.Seconds(),
 		Identical: logA == workload.LogDigest(hallB.Harness.World.Log()) &&
 			reflect.DeepEqual(resA.Occurrences, resB.Occurrences) &&
 			resA.Confusion == resB.Confusion,
-	}
-	r.Replay = append(r.Replay, row)
-	progress("replay hall: gen %.1fms, replay %.1fms (%.2fx), identical=%v",
-		row.GenerateWallMs, row.ReplayWallMs, row.ReplayRatio, row.Identical)
+	})
 
 	scaleCfg := scenario.ScaleConfig{Seed: 2, N: 2048, Shards: 4, Horizon: 10 * sim.Second}
 	start = time.Now()
@@ -235,32 +193,23 @@ func main() {
 	scaleGen := time.Since(start)
 
 	start = time.Now()
-	trc = &workload.Trace{Horizon: scaleCfg.Horizon, Events: scA.Harness.Events}
-	dec, err = workload.Decode(trc.Encode())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchworkload:", err)
-		os.Exit(1)
-	}
-	scaleCfg.Workload = workload.EventSource(dec.Events)
+	scaleCfg.Workload = workload.EventSource(roundTrip(scaleCfg.Horizon, scA.Harness.Events))
 	scB := scenario.NewScale(scaleCfg)
 	sresB := scB.Run()
 	scaleRep := time.Since(start)
-	row = replayRow{
+	r.Replay = append(r.Replay, workloadReplayRow{
 		Scenario: "scale-2048x4", Events: len(scA.Harness.Events),
 		GenerateWallMs: ms(scaleGen), ReplayWallMs: ms(scaleRep),
 		ReplayRatio: scaleRep.Seconds() / scaleGen.Seconds(),
 		Identical: reflect.DeepEqual(sresA.Occurrences, sresB.Occurrences) &&
 			sresA.Confusion == sresB.Confusion &&
 			reflect.DeepEqual(scA.Harness.CounterLines(), scB.Harness.CounterLines()),
-	}
-	r.Replay = append(r.Replay, row)
-	progress("replay scale: gen %.1fms, replay %.1fms (%.2fx), identical=%v",
-		row.GenerateWallMs, row.ReplayWallMs, row.ReplayRatio, row.Identical)
+	})
 
 	for _, rr := range r.Replay {
-		if rr.ReplayRatio > r.MaxReplayRatio {
-			r.MaxReplayRatio = rr.ReplayRatio
-		}
+		progress("replay %s: gen %.1fms, replay %.1fms (%.2fx), identical=%v",
+			rr.Scenario, rr.GenerateWallMs, rr.ReplayWallMs, rr.ReplayRatio, rr.Identical)
+		r.MaxReplayRatio = max(r.MaxReplayRatio, rr.ReplayRatio)
 		if !rr.Identical {
 			r.IdenticalAll = false
 		}
@@ -277,28 +226,6 @@ func main() {
 			"replay-output identity on every row: %v.",
 		r.IntegralBytesPerEvent, r.MaxReplayRatio, r.IdenticalAll)
 
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchworkload:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if *out == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchworkload:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%.1f B/event integral; worst replay %.2fx; identical=%v)\n",
-		*out, r.IntegralBytesPerEvent, r.MaxReplayRatio, r.IdenticalAll)
-}
-
-func seqInts(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return r, fmt.Sprintf("%.1f B/event integral; worst replay %.2fx; identical=%v",
+		r.IntegralBytesPerEvent, r.MaxReplayRatio, r.IdenticalAll)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -57,5 +58,25 @@ func TestFaultPlanOutsideFleetIsUsageError(t *testing.T) {
 		if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine") {
 			t.Errorf("pervasim %v: panicked:\n%s", args, stderr)
 		}
+	}
+}
+
+// TestReplayOversizedTraceIsUsageError: a 14-byte trace declaring 2^36
+// events once made -replay die with a fatal out-of-memory error; it is
+// now a decode error (exit 2 with a message).
+func TestReplayOversizedTraceIsUsageError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "oversized.pvwl")
+	if err := os.WriteFile(path, []byte("PVWL\x01\x01\x00\x00\x80\x80\x80\x80\x80\x02"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := runPervasim(t, "-scenario", "hall", "-replay", path)
+	if code != 2 {
+		t.Errorf("exit %d, want 2\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "pervasim: -replay: workload: ") {
+		t.Errorf("stderr lacks the decode error:\n%s", stderr)
+	}
+	if strings.Contains(stderr, "fatal error") || strings.Contains(stderr, "goroutine") {
+		t.Errorf("crashed:\n%s", stderr)
 	}
 }

@@ -109,8 +109,8 @@ func DecodeBatch(b []byte) (Batch, int, error) {
 		if err != nil {
 			return out, 0, err
 		}
-		if gap == 0 {
-			return out, 0, fmt.Errorf("checker: batch: zero proc delta at entry %d", i)
+		if int(gap) <= 0 || prev+int(gap) <= prev {
+			return out, 0, fmt.Errorf("checker: batch: bad proc delta at entry %d", i)
 		}
 		prev += int(gap)
 		pe, err := uv("entry epoch")
@@ -121,7 +121,7 @@ func DecodeBatch(b []byte) (Batch, int, error) {
 		if err != nil {
 			return out, 0, err
 		}
-		if off+int(vlen)+8 > len(b) {
+		if vlen > uint64(len(b)-off) || off+int(vlen)+8 > len(b) {
 			return out, 0, fmt.Errorf("checker: batch: truncated entry %d", i)
 		}
 		name := string(b[off : off+int(vlen)])

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -74,4 +75,53 @@ func TestBatchWireRejectsUnsortedEntries(t *testing.T) {
 	}()
 	b := Batch{Entries: []BatchEntry{{Proc: 5, Var: "p"}, {Proc: 5, Var: "q"}}}
 	b.AppendWire(nil)
+}
+
+// Crafted sync batches that once crashed DecodeBatch: region, epoch and
+// at of 0, then either a stamp block declaring 2^40 triples (a fatal
+// out-of-memory error sizing the triple slice) or one entry whose
+// variable-name length 2^64-8 made the bounds check overflow (a slice
+// panic).
+var (
+	oversizedBatchTriples = []byte{0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+	overflowingBatchVar   = []byte{0, 0, 0, 0, 1, 1, 0,
+		0xf8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0, 0, 0, 0, 0}
+)
+
+func TestBatchWireRejectsHostileLengths(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"triple count": oversizedBatchTriples,
+		"var length":   overflowingBatchVar,
+	} {
+		if _, _, err := DecodeBatch(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// FuzzDecodeBatch: arbitrary bytes decode to an error or to a batch
+// whose wire form decodes and re-encodes to the same bytes.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(oversizedBatchTriples)
+	f.Add(overflowingBatchVar)
+	valid := Batch{
+		Region: 3, Epoch: 2, At: 12345,
+		Triples: []clock.StampTriple{{Proc: 10, Val: 7, Sent: 7}, {Proc: 19, Val: 1, Sent: 1}},
+		Entries: []BatchEntry{{Proc: 10, Var: "p", Value: 1}, {Proc: 19, Epoch: 4, Var: "occupancy", Value: -2.5}},
+	}
+	f.Add(valid.AppendWire(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, _, err := DecodeBatch(data)
+		if err != nil {
+			return
+		}
+		enc := b.AppendWire(nil)
+		again, n, err := DecodeBatch(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("re-decoding an encoded batch: n=%d of %d, err=%v", n, len(enc), err)
+		}
+		if !bytes.Equal(again.AppendWire(nil), enc) {
+			t.Fatal("encode→decode→encode changed the bytes")
+		}
+	})
 }

@@ -60,11 +60,17 @@ func DecodeStampBatch(b []byte) ([]StampTriple, int, error) {
 		return nil, 0, fmt.Errorf("clock: stamp batch: bad count varint")
 	}
 	off += n
+	// The count sizes the allocation, so it is capped by the bytes left:
+	// a triple is three uvarints of at least one byte each.
+	if count > uint64(len(b)-off)/3 {
+		return nil, 0, fmt.Errorf("clock: stamp batch: %d triples declared, only %d bytes left", count, len(b)-off)
+	}
 	out := make([]StampTriple, 0, count)
 	prev := -1
 	for i := uint64(0); i < count; i++ {
 		gap, n := binary.Uvarint(b[off:])
-		if n <= 0 || gap == 0 {
+		proc := prev + int(gap)
+		if n <= 0 || int(gap) <= 0 || proc <= prev {
 			return nil, 0, fmt.Errorf("clock: stamp batch: bad proc delta at triple %d", i)
 		}
 		off += n
@@ -78,8 +84,8 @@ func DecodeStampBatch(b []byte) ([]StampTriple, int, error) {
 			return nil, 0, fmt.Errorf("clock: stamp batch: bad sent at triple %d", i)
 		}
 		off += n
-		prev += int(gap)
-		out = append(out, StampTriple{Proc: prev, Val: val, Sent: sent})
+		prev = proc
+		out = append(out, StampTriple{Proc: proc, Val: val, Sent: sent})
 	}
 	return out, off, nil
 }

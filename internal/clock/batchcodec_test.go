@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -74,4 +75,42 @@ func TestStampBatchDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeStampBatch(bad); err == nil {
 		t.Error("zero proc delta: want error")
 	}
+}
+
+// oversizedStampBatch declares 2^40 triples with no bytes behind them;
+// sizing the triple slice from that count once died with a fatal
+// out-of-memory error.
+var oversizedStampBatch = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}
+
+func TestStampBatchRejectsOversizedCount(t *testing.T) {
+	if _, _, err := DecodeStampBatch(oversizedStampBatch); err == nil {
+		t.Error("2^40 declared triples: want error")
+	}
+	// Two triples whose proc deltas sum past MaxInt would wrap to a
+	// negative, unsorted proc id.
+	wrap := []byte{2, 2, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0}
+	if _, _, err := DecodeStampBatch(wrap); err == nil {
+		t.Error("proc id overflow: want error")
+	}
+}
+
+// FuzzDecodeStampBatch: arbitrary bytes decode to an error or to
+// triples that re-encode and decode back to the same bytes.
+func FuzzDecodeStampBatch(f *testing.F) {
+	f.Add(oversizedStampBatch)
+	f.Add(AppendStampBatch(nil, []StampTriple{{Proc: 0, Val: 7, Sent: 3}, {Proc: 5, Val: 300, Sent: 9}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ts, _, err := DecodeStampBatch(data)
+		if err != nil {
+			return
+		}
+		enc := AppendStampBatch(nil, ts)
+		again, n, err := DecodeStampBatch(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("re-decoding an encoded batch: n=%d of %d, err=%v", n, len(enc), err)
+		}
+		if !bytes.Equal(AppendStampBatch(nil, again), enc) {
+			t.Fatal("encode→decode→encode changed the bytes")
+		}
+	})
 }

@@ -378,7 +378,7 @@ func (c *StrobeChecker) View(proc int, name string) float64 {
 // StateBytes estimates the checker's resident footprint: per-process
 // admission and value state plus the race-aware reconstruction buffers
 // when allocated. Same per-entry costs as checker.Aggregator.StateBytes,
-// so the flat-vs-tree memory comparison in cmd/benchchecker compares
+// so the flat-vs-tree memory comparison in the cmd/bench checker suite compares
 // like with like.
 func (c *StrobeChecker) StateBytes() int {
 	b := 96 + c.n*(8+8+8+8+8+32) // headers, slices, lastSeq/lastEpoch/lastChange

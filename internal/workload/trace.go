@@ -165,6 +165,19 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// count reads an element count and rejects one that the remaining
+// bytes cannot hold at minBytes per element.
+func (d *decoder) count(minBytes int, what string) (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64((len(d.b)-d.off)/minBytes) {
+		return 0, fmt.Errorf("workload: %d %ss declared at offset %d, only %d bytes left", n, what, d.off, len(d.b)-d.off)
+	}
+	return int(n), nil
+}
+
 func (d *decoder) str() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -220,7 +233,10 @@ func Decode(data []byte) (*Trace, error) {
 		}
 		t.Meta[k] = v
 	}
-	na, err := d.uvarint()
+	// Both counts size allocations, so each is capped by the bytes left:
+	// an attribute name takes at least its 1-byte length, and an event at
+	// least 4 bytes (time, object and key varints plus a value byte).
+	na, err := d.count(1, "attribute")
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +246,7 @@ func Decode(data []byte) (*Trace, error) {
 			return nil, err
 		}
 	}
-	ne, err := d.uvarint()
+	ne, err := d.count(4, "event")
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +254,7 @@ func Decode(data []byte) (*Trace, error) {
 	var at sim.Time
 	var obj int
 	last := make(map[uint64]int64, 64)
-	for i := uint64(0); i < ne; i++ {
+	for i := 0; i < ne; i++ {
 		dt, err := d.uvarint()
 		if err != nil {
 			return nil, err
@@ -254,6 +270,9 @@ func Decode(data []byte) (*Trace, error) {
 		ai := key >> 1
 		if ai >= uint64(len(attrs)) {
 			return nil, fmt.Errorf("workload: event %d references attr %d of %d", i, ai, len(attrs))
+		}
+		if dt > uint64(math.MaxInt64-at) {
+			return nil, fmt.Errorf("workload: event %d overflows the time axis", i)
 		}
 		at += sim.Time(dt)
 		obj += int(unzigzag(dobjZ))

@@ -145,3 +145,44 @@ func TestEventSourceClipsToHorizon(t *testing.T) {
 		t.Fatalf("unclipped count: got %d want %d", n, len(evs))
 	}
 }
+
+// oversizedEventCount is a 14-byte trace (magic, version 1, horizon 1,
+// no meta, no attributes) declaring 2^36 events. Sizing the event slice
+// from that count once killed the process with a fatal out-of-memory
+// error, which recover cannot catch.
+var oversizedEventCount = []byte("PVWL\x01\x01\x00\x00\x80\x80\x80\x80\x80\x02")
+
+func TestTraceRejectsOversizedCounts(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"events":     oversizedEventCount,
+		"attributes": []byte("PVWL\x01\x01\x00\x80\x80\x80\x80\x80\x02"),
+		// One attribute "p", one event whose time delta is 2^63.
+		"time overflow": []byte("PVWL\x01\x00\x00\x01\x01p\x01\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01\x00\x00\x00"),
+	} {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// FuzzDecode feeds arbitrary bytes to the trace decoder: it must return
+// an error or a trace whose re-encoding decodes and re-encodes to the
+// same bytes.
+func FuzzDecode(f *testing.F) {
+	f.Add(oversizedEventCount)
+	f.Add((&Trace{Horizon: sim.Second, Meta: map[string]string{"scenario": "hall"}, Events: sampleEvents()}).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			return
+		}
+		enc := tr.Encode()
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded trace: %v", err)
+		}
+		if string(again.Encode()) != string(enc) {
+			t.Fatal("encode→decode→encode changed the bytes")
+		}
+	})
+}
