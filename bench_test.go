@@ -144,22 +144,6 @@ func BenchmarkKernelScheduleStep(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelTimerCancel measures timer cancel churn — the
-// schedule-timeout/cancel-timeout pattern of delay models and MAC duty
-// cycling: every iteration schedules a doomed timer, stops it, and steps
-// one live event past the accumulated clutter.
-func BenchmarkKernelTimerCancel(b *testing.B) {
-	e := sim.NewEngine(1)
-	nop := func(sim.Time) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.After(100, nop).Stop()
-		e.After(1, nop)
-		e.Step()
-	}
-}
-
 func BenchmarkHallScenarioEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,10 +8,10 @@ import (
 	"pervasive/internal/sim"
 )
 
-const kernelDescription = "allocation-free DES kernel fast path: hand-rolled 4-ary index heap " +
-	"with a free list and value Timers (internal/sim) plus reused checker scratch " +
-	"buffers (internal/core), vs the previous container/heap kernel with boxed " +
-	"*Timer events. Micro-benchmarks are the kernel benchmarks from bench_test.go; " +
+const kernelDescription = "allocation-free DES kernel fast path: hand-rolled 4-ary min-heap " +
+	"of event values (internal/sim) plus reused checker scratch buffers " +
+	"(internal/core), vs the previous container/heap kernel with boxed *Timer " +
+	"events. The micro-benchmark is BenchmarkKernelScheduleStep from bench_test.go; " +
 	"suite timings run the E1-E16+A1-A6 experiment suite in-process."
 
 // kernelBefore is the baseline recorded immediately prior to the
@@ -21,9 +21,6 @@ var kernelBefore = kernelNumbers{
 	ScheduleStepNsOp:     306,
 	ScheduleStepAllocsOp: 2,
 	ScheduleStepBytesOp:  48,
-	TimerCancelNsOp:      438,
-	TimerCancelAllocsOp:  4,
-	TimerCancelBytesOp:   96,
 	QuickSuiteMs:         221,
 	FullSuiteMs:          2962,
 }
@@ -32,9 +29,6 @@ type kernelNumbers struct {
 	ScheduleStepNsOp     float64 `json:"schedule_step_ns_op"`
 	ScheduleStepAllocsOp int64   `json:"schedule_step_allocs_op"`
 	ScheduleStepBytesOp  int64   `json:"schedule_step_bytes_op"`
-	TimerCancelNsOp      float64 `json:"timer_cancel_ns_op"`
-	TimerCancelAllocsOp  int64   `json:"timer_cancel_allocs_op"`
-	TimerCancelBytesOp   int64   `json:"timer_cancel_bytes_op"`
 	QuickSuiteMs         int64   `json:"quick_suite_ms"`
 	FullSuiteMs          int64   `json:"full_suite_ms,omitempty"`
 }
@@ -68,24 +62,9 @@ func benchScheduleStep(b *testing.B) {
 	}
 }
 
-// benchTimerCancel mirrors BenchmarkKernelTimerCancel: schedule+Stop churn
-// with a live event drained per op.
-func benchTimerCancel(b *testing.B) {
-	b.ReportAllocs()
-	e := sim.NewEngine(1)
-	nop := func(sim.Time) {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.After(100, nop).Stop()
-		e.After(1, nop)
-		e.Step()
-	}
-}
-
 func runKernel(st stamp) (any, string) {
 	workers := runtime.GOMAXPROCS(0)
 	step := testing.Benchmark(benchScheduleStep)
-	cancel := testing.Benchmark(benchTimerCancel)
 	seqMs := suiteMs(true, 1, 1)
 	parMs := suiteMs(true, workers, 1)
 	fullMs := suiteMs(false, 1, 1)
@@ -94,15 +73,11 @@ func runKernel(st stamp) (any, string) {
 		ScheduleStepNsOp:     float64(step.NsPerOp()),
 		ScheduleStepAllocsOp: step.AllocsPerOp(),
 		ScheduleStepBytesOp:  step.AllocedBytesPerOp(),
-		TimerCancelNsOp:      float64(cancel.NsPerOp()),
-		TimerCancelAllocsOp:  cancel.AllocsPerOp(),
-		TimerCancelBytesOp:   cancel.AllocedBytesPerOp(),
 		QuickSuiteMs:         seqMs,
 		FullSuiteMs:          fullMs,
 	}
-	beforeAllocs := kernelBefore.ScheduleStepAllocsOp + kernelBefore.TimerCancelAllocsOp
-	afterAllocs := after.ScheduleStepAllocsOp + after.TimerCancelAllocsOp
-	reduction := 100 * float64(beforeAllocs-afterAllocs) / float64(beforeAllocs)
+	reduction := 100 * float64(kernelBefore.ScheduleStepAllocsOp-after.ScheduleStepAllocsOp) /
+		float64(kernelBefore.ScheduleStepAllocsOp)
 
 	r := kernelReport{
 		stamp:             st,
@@ -116,7 +91,8 @@ func runKernel(st stamp) (any, string) {
 		ParallelSpeedup:   float64(seqMs) / float64(parMs),
 		Notes: "The before block is a historical recording from a single-CPU host when the " +
 			"suite was E1-E12+A1-A7, so only its micro-benchmark allocation counts compare " +
-			"with the after block; suite timings do not. parallel_quick_ms is one pass of " +
+			"with the after block; suite timings do not. The kernel has no timer " +
+			"cancellation, so there is no cancel-churn row. parallel_quick_ms is one pass of " +
 			"the quick suite on GOMAXPROCS workers (gomaxprocs field above), so " +
 			"parallel_speedup is bounded by that core count. Output tables are " +
 			"byte-identical at every worker count (see TestTablesByteIdenticalAcrossParallelism).",

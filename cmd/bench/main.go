@@ -9,9 +9,9 @@
 // parallel measurements use GOMAXPROCS workers, so a record taken on a
 // multi-core machine measures its cores.
 //
-//   - kernel: DES-kernel fast path (schedule/step and timer-cancel
-//     micro-benchmarks, experiment-suite wall clock sequential and
-//     across the worker pool).
+//   - kernel: DES-kernel fast path (schedule/step micro-benchmark,
+//     experiment-suite wall clock sequential and across the worker
+//     pool).
 //   - lattice: single-pass Survey vs the retained recursive enumerator.
 //   - faults: fault-injection overhead with no plan, an empty plan and
 //     an active plan.

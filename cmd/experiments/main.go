@@ -71,6 +71,12 @@ func main() {
 	}
 	cfg := experiments.RunConfig{Seed: *seed, Quick: *quick, Parallelism: *par, Faults: plan, Timing: *timing}
 	for _, e := range selected {
+		if err := e.CheckFaults(cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: -faults: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	for _, e := range selected {
 		e.Run(cfg).Render(os.Stdout)
 	}
 }

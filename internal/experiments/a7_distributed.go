@@ -10,7 +10,7 @@ import (
 func init() {
 	Ablations = append(Ablations, Experiment{
 		"A7", "replicated in-network checkers: view divergence vs Δ",
-		A7DistributedCheckers,
+		A7DistributedCheckers, fleet(4),
 	})
 }
 

@@ -4,6 +4,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pervasive/internal/faults"
+	"pervasive/internal/sim"
 )
 
 func quick() RunConfig { return RunConfig{Seed: 1, Quick: true} }
@@ -242,5 +245,41 @@ func TestE12Shape(t *testing.T) {
 	}
 	if cell(t, tbl, 0, 4) >= cell(t, tbl, 0, 5) {
 		t.Fatalf("strobe lattice not smaller than true lattice at Δ=0: %v", tbl.Rows[0])
+	}
+}
+
+// TestFaultFleetIsSmallestFleet: every experiment's FaultFleet is exactly
+// the smallest fleet it installs -faults into. A plan crashing the last
+// sensor of that fleet passes CheckFaults and runs; one sensor further is
+// rejected by CheckFaults and, unchecked, makes the harness panic.
+// Experiments without a FaultFleet ignore the plan, so any plan runs.
+func TestFaultFleetIsSmallestFleet(t *testing.T) {
+	crash := func(proc int) RunConfig {
+		cfg := quick()
+		cfg.Faults = faults.NewPlan().Crash(proc, 100*sim.Millisecond)
+		return cfg
+	}
+	for _, e := range AllWithAblations() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			if e.FaultFleet == nil {
+				e.Run(crash(1 << 20))
+				return
+			}
+			n := e.FaultFleet(quick())
+			if err := e.CheckFaults(crash(n - 1)); err != nil {
+				t.Fatal(err)
+			}
+			e.Run(crash(n - 1))
+			if e.CheckFaults(crash(n)) == nil {
+				t.Fatalf("crash(%d) passed CheckFaults for a %d-sensor fleet", n, n)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("crash(%d) ran without a harness panic: the smallest fleet is larger than %d", n, n)
+				}
+			}()
+			e.Run(crash(n))
+		})
 	}
 }

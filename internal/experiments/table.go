@@ -127,26 +127,46 @@ type Experiment struct {
 	ID   string
 	Name string
 	Run  func(cfg RunConfig) *Table
+	// FaultFleet returns the smallest sensor fleet Run hands cfg.Faults
+	// to; nil for experiments that ignore cfg.Faults.
+	FaultFleet func(cfg RunConfig) int
+}
+
+// fleet is a FaultFleet for experiments whose smallest fleet is fixed.
+func fleet(n int) func(RunConfig) int { return func(RunConfig) int { return n } }
+
+// CheckFaults validates cfg.Faults against the smallest fleet e installs
+// it into, so a plan naming a missing sensor is reported before any run
+// rather than as a harness panic mid-table.
+func (e Experiment) CheckFaults(cfg RunConfig) error {
+	if cfg.Faults == nil || e.FaultFleet == nil {
+		return nil
+	}
+	n := e.FaultFleet(cfg)
+	if err := cfg.Faults.Validate(n); err != nil {
+		return fmt.Errorf("%s (%d sensors): %w", e.ID, n, err)
+	}
+	return nil
 }
 
 // All lists the experiments in order.
 var All = []Experiment{
-	{"E1", "strobe detection accuracy vs Δ", E1StrobeAccuracy},
-	{"E2", "physical-clock false negatives below the skew bound", E2TwoEpsilon},
-	{"E3", "slim lattice postulate", E3SlimLattice},
-	{"E4", "scalar ≡ vector strobes at Δ=0", E4ScalarVectorEquivalence},
-	{"E5", "exhibition hall borderline bin", E5ExhibitionHall},
-	{"E6", "Definitely(φ) under growing delay", E6DefinitelyUnderDelay},
-	{"E7", "strobe message overhead O(1) vs O(n)", E7MessageOverhead},
-	{"E8", "loss localization", E8LossLocalization},
-	{"E9", "clock synchronization cost and accuracy", E9ClockSyncCost},
-	{"E10", "every-occurrence vs detect-once", E10EveryOccurrence},
-	{"E11", "hidden channels defeat causality tracking", E11HiddenChannels},
-	{"E12", "strobes as causal clocks inject false causality", E12FalseCausality},
-	{"E13", "crash/recovery churn sweep", E13CrashChurn},
-	{"E14", "sharded-engine scale sweep", E14ScaleSweep},
-	{"E15", "checker-tree fan-out sweep", E15CheckerTree},
-	{"E16", "statistical generator sweep (burstiness, diurnal phase)", E16GeneratorSweep},
+	{"E1", "strobe detection accuracy vs Δ", E1StrobeAccuracy, fleet(6)},
+	{"E2", "physical-clock false negatives below the skew bound", E2TwoEpsilon, nil},
+	{"E3", "slim lattice postulate", E3SlimLattice, fleet(4)},
+	{"E4", "scalar ≡ vector strobes at Δ=0", E4ScalarVectorEquivalence, fleet(4)},
+	{"E5", "exhibition hall borderline bin", E5ExhibitionHall, nil},
+	{"E6", "Definitely(φ) under growing delay", E6DefinitelyUnderDelay, nil},
+	{"E7", "strobe message overhead O(1) vs O(n)", E7MessageOverhead, fleet(4)},
+	{"E8", "loss localization", E8LossLocalization, fleet(3)},
+	{"E9", "clock synchronization cost and accuracy", E9ClockSyncCost, nil},
+	{"E10", "every-occurrence vs detect-once", E10EveryOccurrence, nil},
+	{"E11", "hidden channels defeat causality tracking", E11HiddenChannels, nil},
+	{"E12", "strobes as causal clocks inject false causality", E12FalseCausality, fleet(3)},
+	{"E13", "crash/recovery churn sweep", E13CrashChurn, nil},
+	{"E14", "sharded-engine scale sweep", E14ScaleSweep, fleet(64)},
+	{"E15", "checker-tree fan-out sweep", E15CheckerTree, func(cfg RunConfig) int { return cfg.pick(1024, 256) }},
+	{"E16", "statistical generator sweep (burstiness, diurnal phase)", E16GeneratorSweep, fleet(6)},
 }
 
 // ByID finds an experiment or ablation by its ID (case-insensitive).

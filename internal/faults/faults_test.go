@@ -156,3 +156,25 @@ func TestNilInjectorIsNoFaults(t *testing.T) {
 		t.Fatal("empty plan should compile to nil injector")
 	}
 }
+
+// FuzzParse feeds arbitrary text to the plan parser: it must return an
+// error or a plan whose rendering parses back to the same rendering.
+func FuzzParse(f *testing.F) {
+	f.Add("crash(2,10s);recover(2,30s);partition(0.1|2.3,10s,20s);dup(5s,15s,0.3);reorder(5s,15s,50ms)")
+	f.Add("crash(99,1s)")
+	f.Add(" dup( 1ns , 2h ,1e-3 ) ;;")
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		out := p.String()
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("rendered plan %q does not parse: %v", out, err)
+		}
+		if again.String() != out {
+			t.Fatalf("Parse→String→Parse changed %q to %q", out, again.String())
+		}
+	})
+}

@@ -3,7 +3,7 @@ package obs
 import "pervasive/internal/sim"
 
 // CollectEngine registers a snapshot-time collector that mirrors the DES
-// kernel's plain counters (events scheduled/executed/cancelled, heap
+// kernel's plain counters (events scheduled/executed, heap
 // depth and its watermark) into r. The kernel's hot path stays free of
 // atomics and registry lookups: values are read only when r.Snapshot()
 // runs, which must happen on the engine's own goroutine (the DES is
@@ -14,12 +14,10 @@ func CollectEngine(r *Registry, e *sim.Engine) {
 	}
 	scheduled := r.Counter("sim.events.scheduled")
 	executed := r.Counter("sim.events.executed")
-	cancelled := r.Counter("sim.events.cancelled")
 	depth := r.Gauge("sim.heap.depth")
 	r.RegisterCollector(func(*Registry) {
 		scheduled.Store(int64(e.Scheduled))
 		executed.Store(int64(e.Executed))
-		cancelled.Store(int64(e.Cancelled))
 		depth.SetWithMax(int64(e.Pending()), int64(e.MaxHeapDepth))
 	})
 }

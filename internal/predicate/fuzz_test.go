@@ -98,3 +98,27 @@ func TestFuzzEvalNeverPanics(t *testing.T) {
 		_, _ = AsConjunctive(c) // must not panic either
 	}
 }
+
+// FuzzParse feeds arbitrary text to the predicate parser: it must return
+// an error or a condition whose rendering parses back to the same
+// rendering and evaluates without panicking.
+func FuzzParse(f *testing.F) {
+	f.Add("sum(x) >= 2")
+	f.Add("sum(p) - sum(q) > 3 && !(x@0 < -1.5e3 || max(temp) != min(temp))")
+	f.Add("count(x) * (y@2 / 0) <= avg(x)")
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := Parse(src)
+		if err != nil {
+			return
+		}
+		out := c.String()
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("rendered condition %q does not parse: %v", out, err)
+		}
+		if again.String() != out {
+			t.Fatalf("Parse→String→Parse changed %q to %q", out, again.String())
+		}
+		_ = c.Holds(MapState{N: 3, Vals: map[Key]float64{{0, "x"}: 1, {2, "y"}: -2}})
+	})
+}

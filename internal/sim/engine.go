@@ -9,82 +9,51 @@ import (
 // Handler is a callback executed at its scheduled virtual time.
 type Handler func(now Time)
 
-// scheduled is one pending event in the engine's slot pool. Slots are
-// recycled through a free list; gen disambiguates a Timer held across a
-// slot's reuse (a stale Timer sees a newer gen and becomes inert).
-type scheduled struct {
-	at   Time
-	pri  uint64 // caller-supplied tie-break key, ahead of seq (see AtPri)
-	seq  uint64 // FIFO tie-break for equal (timestamp, pri)
-	fn   Handler
-	gen  uint32
-	next int32 // free-list link while the slot is free
+// event is one entry of the engine's event list.
+type event struct {
+	at  Time
+	pri uint64 // caller-supplied tie-break key, ahead of seq (see AtPri)
+	seq uint64 // FIFO tie-break for equal (timestamp, pri)
+	fn  Handler
 }
 
-// nilSlot terminates the free list.
-const nilSlot int32 = -1
-
-// Timer is a handle to a scheduled event, usable to cancel it. Timers are
-// values: scheduling performs no allocation for the handle, and the zero
-// Timer is inert.
-type Timer struct {
-	eng  *Engine
-	slot int32
-	gen  uint32
-}
-
-// Stop cancels the timer if it has not fired. It reports whether the
-// cancellation prevented the event from firing.
-func (t Timer) Stop() bool {
-	e := t.eng
-	if e == nil {
-		return false
+// less orders events by (time, pri, seq).
+func (a *event) less(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	s := &e.pool[t.slot]
-	if s.gen != t.gen || s.fn == nil {
-		return false // fired, already stopped, or slot recycled
+	if a.pri != b.pri {
+		return a.pri < b.pri
 	}
-	s.fn = nil // stays in the heap as a tombstone until popped or swept
-	e.Cancelled++
-	e.live--
-	e.maybeSweep()
-	return true
+	return a.seq < b.seq
 }
 
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with NewEngine.
 //
-// The event list is a hand-rolled 4-ary index heap: the heap slice holds
-// int32 indices into a slot pool of scheduled entries, recycled through a
-// free list. Compared to container/heap this removes the per-event
-// *scheduled allocation, the heap.Interface boxing on every push/pop, and
-// the Timer-handle allocation (Timers are values). Cancellation is lazy —
-// a stopped event becomes a tombstone skipped by peek — with an amortized
-// sweep that compacts the heap when tombstones outnumber live events.
+// The event list is a hand-rolled 4-ary min-heap of event values ordered by
+// (time, pri, seq). Events are never cancelled — every scheduled event of
+// the execution model fires — so the heap holds exactly the pending events
+// and a steady-state schedule+step performs no allocation.
 type Engine struct {
-	now      Time
-	seq      uint64
-	heap     []int32
-	pool     []scheduled
-	freeHead int32
-	live     int // heap entries whose fn is still set
-	rng      *stats.RNG
+	now  Time
+	seq  uint64
+	heap []event
+	rng  *stats.RNG
 	// Executed counts handlers actually run, for kernel benchmarks.
 	Executed uint64
-	// Scheduled counts events accepted by At/After; Cancelled counts
-	// timers stopped before firing; MaxHeapDepth is the event list's
-	// high-watermark. They are plain fields — the kernel is
+	// Scheduled counts events accepted by At/After; MaxHeapDepth is the
+	// event list's high-watermark. They are plain fields — the kernel is
 	// single-threaded, so instrumentation costs one increment, not an
 	// atomic — published to an obs registry at snapshot time by
 	// obs.CollectEngine (sim cannot import obs, which uses sim.Time).
 	Scheduled    uint64
-	Cancelled    uint64
 	MaxHeapDepth int
 }
 
 // NewEngine creates an engine whose randomness derives from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: stats.NewRNG(seed), freeHead: nilSlot}
+	return &Engine{rng: stats.NewRNG(seed)}
 }
 
 // Now returns the current virtual time.
@@ -94,19 +63,17 @@ func (e *Engine) Now() Time { return e.now }
 // isolated streams should call RNG().Fork() once at setup.
 func (e *Engine) RNG() *stats.RNG { return e.rng }
 
-// Pending returns the number of events still scheduled to fire (cancelled
-// events awaiting their lazy removal are not counted).
-func (e *Engine) Pending() int { return e.live }
+// Pending returns the number of events still scheduled to fire.
+func (e *Engine) Pending() int { return len(e.heap) }
 
-// NextAt returns the timestamp of the earliest live pending event; ok is
-// false when the event list is drained. Used by the sharded engine to skip
-// empty epochs during drain.
+// NextAt returns the timestamp of the earliest pending event; ok is false
+// when the event list is drained. Used by the sharded engine to skip empty
+// epochs.
 func (e *Engine) NextAt() (at Time, ok bool) {
-	s := e.peek()
-	if s == nilSlot {
+	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.pool[s].at, true
+	return e.heap[0].at, true
 }
 
 // AdvanceTo moves virtual time forward to t without executing events. It is
@@ -121,58 +88,26 @@ func (e *Engine) AdvanceTo(t Time) {
 	e.now = t
 }
 
-// alloc takes a slot from the free list, or grows the pool.
-func (e *Engine) alloc() int32 {
-	if s := e.freeHead; s != nilSlot {
-		e.freeHead = e.pool[s].next
-		return s
-	}
-	e.pool = append(e.pool, scheduled{}) //lint:allow hotpath(amortized growth: the pool doubles O(log n) times and is recycled through the free list thereafter)
-	return int32(len(e.pool) - 1)
-}
-
-// release bumps the slot's generation (invalidating outstanding Timers)
-// and returns it to the free list.
-func (e *Engine) release(s int32) {
-	p := &e.pool[s]
-	p.fn = nil
-	p.gen++
-	p.next = e.freeHead
-	e.freeHead = s
-}
-
-// less orders heap entries by (time, pri, seq).
-func (e *Engine) less(a, b int32) bool {
-	pa, pb := &e.pool[a], &e.pool[b]
-	if pa.at != pb.at {
-		return pa.at < pb.at
-	}
-	if pa.pri != pb.pri {
-		return pa.pri < pb.pri
-	}
-	return pa.seq < pb.seq
-}
-
 // siftUp restores the 4-ary heap property from leaf i toward the root.
 func (e *Engine) siftUp(i int) {
 	h := e.heap
-	s := h[i]
+	ev := h[i]
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !e.less(s, h[parent]) {
+		if !ev.less(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = s
+	h[i] = ev
 }
 
 // siftDown restores the 4-ary heap property from i toward the leaves.
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
-	s := h[i]
+	ev := h[i]
 	for {
 		first := i<<2 + 1 // leftmost child
 		if first >= n {
@@ -184,75 +119,22 @@ func (e *Engine) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[min]) {
+			if h[c].less(&h[min]) {
 				min = c
 			}
 		}
-		if !e.less(h[min], s) {
+		if !h[min].less(&ev) {
 			break
 		}
 		h[i] = h[min]
 		i = min
 	}
-	h[i] = s
-}
-
-// push inserts slot s into the heap.
-func (e *Engine) push(s int32) {
-	e.heap = append(e.heap, s) //lint:allow hotpath(amortized growth: the heap tracks the pool's high-watermark and stops growing once the event population peaks)
-	e.siftUp(len(e.heap) - 1)
-}
-
-// pop removes and returns the minimum slot. The heap must be non-empty.
-func (e *Engine) pop() int32 {
-	h := e.heap
-	s := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	e.heap = h[:n]
-	if n > 0 {
-		e.siftDown(0)
-	}
-	return s
-}
-
-// peek discards cancelled tombstones off the top and returns the slot of
-// the earliest live event, or nilSlot when the list is drained.
-func (e *Engine) peek() int32 {
-	for len(e.heap) > 0 {
-		s := e.heap[0]
-		if e.pool[s].fn != nil {
-			return s
-		}
-		e.release(e.pop())
-	}
-	return nilSlot
-}
-
-// maybeSweep compacts the heap once tombstones outnumber live events:
-// cancelled slots are released and the survivors re-heapified in O(n).
-// The 2× threshold makes the sweep amortized O(1) per cancellation.
-func (e *Engine) maybeSweep() {
-	if len(e.heap) < 64 || 2*e.live >= len(e.heap) {
-		return
-	}
-	kept := e.heap[:0]
-	for _, s := range e.heap {
-		if e.pool[s].fn != nil {
-			kept = append(kept, s)
-		} else {
-			e.release(s)
-		}
-	}
-	e.heap = kept
-	for i := (len(kept) - 2) >> 2; i >= 0; i-- {
-		e.siftDown(i)
-	}
+	h[i] = ev
 }
 
 // At schedules fn to run at absolute virtual time at. Scheduling into the
 // past panics: that always indicates a model bug.
-func (e *Engine) At(at Time, fn Handler) Timer { return e.AtPri(at, 0, fn) }
+func (e *Engine) At(at Time, fn Handler) { e.AtPri(at, 0, fn) }
 
 // AtPri schedules fn at time at with an explicit priority key: events fire
 // in (at, pri, seq) order. seq is the engine's insertion counter, so it is
@@ -263,46 +145,43 @@ func (e *Engine) At(at Time, fn Handler) Timer { return e.AtPri(at, 0, fn) }
 // (same shard) or staged through an epoch mailbox (cross shard). Local
 // events keep pri 0 and therefore sort ahead of deliveries at the same
 // instant.
-func (e *Engine) AtPri(at Time, pri uint64, fn Handler) Timer {
+func (e *Engine) AtPri(at Time, pri uint64, fn Handler) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past (%v < %v)", at, e.now)) //lint:allow hotpath(cold panic path: the format and boxing run once, immediately before the process dies)
 	}
-	s := e.alloc()
-	p := &e.pool[s]
-	p.at, p.pri, p.seq, p.fn = at, pri, e.seq, fn
+	e.heap = append(e.heap, event{at: at, pri: pri, seq: e.seq, fn: fn}) //lint:allow hotpath(amortized growth: the heap doubles O(log n) times and stops growing once the event population peaks)
 	e.seq++
-	e.push(s)
-	e.live++
+	e.siftUp(len(e.heap) - 1)
 	e.Scheduled++
-	if e.live > e.MaxHeapDepth {
-		e.MaxHeapDepth = e.live
+	if len(e.heap) > e.MaxHeapDepth {
+		e.MaxHeapDepth = len(e.heap)
 	}
-	return Timer{eng: e, slot: s, gen: p.gen}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
-func (e *Engine) After(d Duration, fn Handler) Timer {
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Duration, fn Handler) { e.At(e.now+d, fn) }
 
 // Step executes the single earliest pending event, advancing virtual time.
 // It reports whether an event was available.
 func (e *Engine) Step() bool {
-	s := e.peek()
-	if s == nilSlot {
+	h := e.heap
+	if len(h) == 0 {
 		return false
 	}
-	e.pop()
-	p := &e.pool[s]
-	e.now = p.at
-	fn := p.fn
-	e.release(s) // before fn: a self-Stop inside the handler is a no-op
-	e.live--
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{} // drop the handler reference
+	e.heap = h[:n]
+	if n > 0 {
+		e.siftDown(0)
+	}
+	e.now = top.at
 	e.Executed++
-	fn(e.now)
+	top.fn(e.now)
 	return true
 }
 
@@ -310,12 +189,8 @@ func (e *Engine) Step() bool {
 // the next event lies strictly after until. Events scheduled exactly at
 // until still run. It returns the virtual time at exit.
 func (e *Engine) Run(until Time) Time {
-	for {
-		s := e.peek()
-		if s == nilSlot {
-			break
-		}
-		if e.pool[s].at > until {
+	for len(e.heap) > 0 {
+		if e.heap[0].at > until {
 			e.now = until
 			break
 		}

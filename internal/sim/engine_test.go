@@ -75,31 +75,6 @@ func TestEngineRunHorizon(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	tm := e.At(10, func(Time) { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop on pending timer should return true")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop should return false")
-	}
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	e := NewEngine(1)
-	tm := e.At(10, func(Time) {})
-	e.RunAll()
-	if tm.Stop() {
-		t.Fatal("Stop after firing should return false")
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.At(100, func(Time) {
@@ -183,65 +158,6 @@ func TestStepReturnsFalseWhenDrained(t *testing.T) {
 	}
 	if e.Step() {
 		t.Fatal("Step after drain returned true")
-	}
-}
-
-func TestZeroTimerStopIsInert(t *testing.T) {
-	var tm Timer
-	if tm.Stop() {
-		t.Fatal("zero Timer Stop returned true")
-	}
-}
-
-func TestStaleTimerAfterSlotReuse(t *testing.T) {
-	e := NewEngine(1)
-	tm := e.At(1, func(Time) {})
-	e.RunAll() // fires; the slot returns to the free list
-	fired := false
-	tm2 := e.At(2, func(Time) { fired = true }) // recycles the slot
-	if tm.Stop() {
-		t.Fatal("stale timer cancelled a recycled slot")
-	}
-	e.RunAll()
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-	if tm2.Stop() {
-		t.Fatal("Stop after firing returned true")
-	}
-}
-
-func TestCancellationSweepCompactsHeap(t *testing.T) {
-	e := NewEngine(1)
-	nop := func(Time) {}
-	timers := make([]Timer, 0, 1024)
-	for i := 0; i < 1024; i++ {
-		timers = append(timers, e.At(Time(i+1), nop))
-	}
-	for i, tm := range timers {
-		if i%8 != 0 { // cancel 7 of every 8
-			tm.Stop()
-		}
-	}
-	if got := e.Pending(); got != 128 {
-		t.Fatalf("pending %d after mass cancellation, want 128", got)
-	}
-	// The amortized sweep must have compacted the tombstones away.
-	if len(e.heap) >= 1024/2 {
-		t.Fatalf("heap still holds %d entries for 128 live events", len(e.heap))
-	}
-	var fired []Time
-	e.At(5000, func(now Time) { fired = append(fired, now) })
-	for e.Step() {
-	}
-	if e.Executed != 129 {
-		t.Fatalf("executed %d events, want 129", e.Executed)
-	}
-	if len(fired) != 1 || fired[0] != 5000 {
-		t.Fatalf("canary fired %v, want once at 5000", fired)
-	}
-	if e.Cancelled != 896 {
-		t.Fatalf("Cancelled = %d, want 896", e.Cancelled)
 	}
 }
 

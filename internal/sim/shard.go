@@ -7,14 +7,11 @@ import (
 	"pervasive/internal/stats"
 )
 
-// crossEvent is one cross-shard delivery in flight between epoch barriers.
-// pri carries the sender-derived priority key; seq is stamped at collection
-// time purely to keep the pending heap's order total (transport-issued pri
-// keys are unique, so seq never decides order between real deliveries).
+// crossEvent is one cross-shard delivery staged in its sender's outbox
+// until the next epoch barrier. pri carries the sender-derived priority key.
 type crossEvent struct {
 	at  Time
 	pri uint64
-	seq uint64
 	dst int32
 	fn  Handler
 }
@@ -27,26 +24,26 @@ type crossEvent struct {
 // There are no null messages: the time bound itself is the guarantee.
 //
 // Cross-shard sends are staged in per-source outboxes (single writer: the
-// sending shard) and merged into one pending heap at each barrier in
-// deterministic shard order; delivery into the destination engine orders by
-// (time, pri, seq) exactly as a same-shard AtPri call would, which is what
-// makes results byte-identical at any shard count.
+// sending shard) and, at the next barrier, scheduled straight into their
+// destination engines with AtPri. The destination heap then orders them by
+// (time, pri, seq) exactly as a same-shard AtPri call would. Transport
+// priority keys are unique per message, so the barrier's insertion order
+// never decides execution order, which is what makes results byte-identical
+// at any shard count.
 //
 // With S=1 the barrier machinery short-circuits: Run degenerates to the
 // single engine's Run loop, preserving the original single-heap fast path.
 type Shards struct {
 	engines   []*Engine
 	outboxes  [][]crossEvent
-	pending   []crossEvent // min-heap by (at, pri, seq)
 	lookahead Duration
 	floor     Time // all shards have executed everything at or before floor
-	crossSeq  uint64
 	workers   int
 
 	// Epochs counts barrier rounds; CrossSent counts cross-shard events
-	// staged through mailboxes; MaxInFlight is the pending-heap
-	// high-watermark. Plain fields: they are touched only between epochs,
-	// on the coordinating goroutine.
+	// staged through mailboxes; MaxInFlight is the largest batch of cross
+	// events exchanged at one barrier. Plain fields: they are touched only
+	// between epochs, on the coordinating goroutine.
 	Epochs      uint64
 	CrossSent   uint64
 	MaxInFlight int
@@ -112,94 +109,32 @@ func (sh *Shards) CrossFrom(src, dst int, at Time, pri uint64, fn Handler) {
 	sh.outboxes[src] = append(sh.outboxes[src], crossEvent{at: at, pri: pri, dst: int32(dst), fn: fn})
 }
 
-// crossLess orders pending cross events by (at, pri, seq).
-func crossLess(a, b crossEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.pri != b.pri {
-		return a.pri < b.pri
-	}
-	return a.seq < b.seq
-}
-
-func (sh *Shards) pendingPush(ev crossEvent) {
-	h := append(sh.pending, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !crossLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	sh.pending = h
-	if len(h) > sh.MaxInFlight {
-		sh.MaxInFlight = len(h)
-	}
-}
-
-func (sh *Shards) pendingPop() crossEvent {
-	h := sh.pending
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = crossEvent{} // drop the fn reference
-	h = h[:n]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && crossLess(h[c+1], h[c]) {
-			c++
-		}
-		if !crossLess(h[c], h[i]) {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	sh.pending = h
-	return top
-}
-
-// collect drains every outbox into the pending heap, in shard order. An
-// event already at or before the floor means a sender beat the lookahead —
-// the conservative-synchronization invariant is broken — so it panics
-// rather than silently reordering history.
+// collect drains every outbox, in shard order, into the destination
+// engines. An event already at or before the floor means a sender beat the
+// lookahead — the conservative-synchronization invariant is broken — so it
+// panics rather than silently reordering history.
 func (sh *Shards) collect() {
-	for k := range sh.outboxes {
-		for _, ev := range sh.outboxes[k] {
+	batch := 0
+	for k, out := range sh.outboxes {
+		for i, ev := range out {
 			if ev.at <= sh.floor && !(sh.floor == 0 && ev.at == 0) {
 				panic(fmt.Sprintf("sim: cross-shard event at %v violates lookahead (floor %v)", ev.at, sh.floor))
 			}
-			ev.seq = sh.crossSeq
-			sh.crossSeq++
-			sh.pendingPush(ev)
-			sh.CrossSent++
+			sh.engines[ev.dst].AtPri(ev.at, ev.pri, ev.fn)
+			out[i] = crossEvent{} // drop the fn reference
 		}
-		sh.outboxes[k] = sh.outboxes[k][:0]
+		batch += len(out)
+		sh.outboxes[k] = out[:0]
 	}
-}
-
-// deliver schedules every pending cross event with at <= end into its
-// destination engine.
-func (sh *Shards) deliver(end Time) {
-	for len(sh.pending) > 0 && sh.pending[0].at <= end {
-		ev := sh.pendingPop()
-		sh.engines[ev.dst].AtPri(ev.at, ev.pri, ev.fn)
+	sh.CrossSent += uint64(batch)
+	if batch > sh.MaxInFlight {
+		sh.MaxInFlight = batch
 	}
 }
 
 // idle reports whether no work remains anywhere: outboxes must already be
 // collected.
 func (sh *Shards) idle() bool {
-	if len(sh.pending) > 0 {
-		return false
-	}
 	for _, e := range sh.engines {
 		if e.Pending() > 0 {
 			return false
@@ -208,17 +143,14 @@ func (sh *Shards) idle() bool {
 	return true
 }
 
-// nextEventAt returns the earliest event time across all engines and the
-// pending heap. Call only when not idle.
+// nextEventAt returns the earliest event time across all engines. Call
+// only when not idle.
 func (sh *Shards) nextEventAt() Time {
 	min := Never
 	for _, e := range sh.engines {
 		if at, ok := e.NextAt(); ok && at < min {
 			min = at
 		}
-	}
-	if len(sh.pending) > 0 && sh.pending[0].at < min {
-		min = sh.pending[0].at
 	}
 	return min
 }
@@ -260,7 +192,6 @@ func (sh *Shards) Run(until Time) Time {
 		// cross events (src==dst==0) still drain through the mailbox so
 		// the S=1 path exercises the same staging API.
 		sh.collect()
-		sh.deliver(until)
 		e := sh.engines[0]
 		e.Run(until)
 		sh.floor = e.Now()
@@ -284,7 +215,6 @@ func (sh *Shards) Run(until Time) Time {
 		if end > until {
 			end = until
 		}
-		sh.deliver(end)
 		sh.runEpoch(end)
 		sh.floor = end
 	}

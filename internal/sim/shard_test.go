@@ -144,6 +144,48 @@ func TestShardSkipAhead(t *testing.T) {
 	}
 }
 
+// TestShardCrossEventFarAhead: a cross event staged 1s ahead with L=1ms
+// goes into its destination heap at the next barrier, where skip-ahead
+// must still see it. It fires at exactly its time after a handful of
+// epochs, not one epoch per millisecond.
+func TestShardCrossEventFarAhead(t *testing.T) {
+	sh := NewShards(2, Millisecond, 7)
+	const sendAt = Time(Millisecond)
+	var fired []Time
+	sh.Engine(0).At(sendAt, func(now Time) {
+		sh.CrossFrom(0, 1, now+Second, 1, func(now Time) { fired = append(fired, now) })
+	})
+	sh.RunAll()
+	if len(fired) != 1 || fired[0] != sendAt+Second {
+		t.Fatalf("fired at %v, want once at %v", fired, sendAt+Second)
+	}
+	if sh.Epochs > 5 {
+		t.Fatalf("Epochs = %d; skip-ahead missed the event in the destination heap", sh.Epochs)
+	}
+	if sh.CrossSent != 1 || sh.MaxInFlight != 1 {
+		t.Fatalf("CrossSent = %d, MaxInFlight = %d, want 1 and 1", sh.CrossSent, sh.MaxInFlight)
+	}
+}
+
+// TestSingleShardSetupCrossFromRuns: at S=1 there are no barriers, yet
+// cross events staged during setup (including one at time 0) still reach
+// the engine and fire in key order.
+func TestSingleShardSetupCrossFromRuns(t *testing.T) {
+	sh := NewShards(1, 0, 7)
+	var order []string
+	mark := func(s string) Handler {
+		return func(Time) { order = append(order, s) }
+	}
+	sh.CrossFrom(0, 0, 5*Microsecond, 2, mark("b"))
+	sh.CrossFrom(0, 0, 0, 9, mark("zero"))
+	sh.CrossFrom(0, 0, 5*Microsecond, 1, mark("a"))
+	sh.Run(10 * Microsecond)
+	want := []string{"zero", "a", "b"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
 // TestShardRunHorizon: Run(until) stops at the horizon and resumes.
 func TestShardRunHorizon(t *testing.T) {
 	sh := NewShards(2, 10*Microsecond, 7)

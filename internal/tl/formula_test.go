@@ -117,17 +117,20 @@ func TestParseWindows(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := map[string]string{
-		"":            "unexpected end",
-		"x &&":        "unexpected end",
-		"(x":          "missing )",
-		"F[5s] x":     "expected ,",
-		"F[5s,1s] x":  "upper bound below lower",
-		"F[,5s] x":    "bad duration",
-		"x y":         "unexpected",
-		"G[0,5s]":     "unexpected end",
-		"@":           "unexpected",
-		"F[abc,5s] x": "bad duration",
-		"F[0,5s x":    "expected ]",
+		"":                             "unexpected end",
+		"x &&":                         "unexpected end",
+		"(x":                           "missing )",
+		"F[5s] x":                      "expected ,",
+		"F[5s,1s] x":                   "upper bound below lower",
+		"F[,5s] x":                     "bad duration",
+		"x y":                          "unexpected",
+		"G[0,5s]":                      "unexpected end",
+		"@":                            "unexpected",
+		"F[abc,5s] x":                  "bad duration",
+		"F[0,5s x":                     "expected ]",
+		"F[inf,5s] x":                  "bad duration",
+		"F[NaN,5s] x":                  "bad duration",
+		"F[0,99999999999999999999h] x": "out of range",
 	}
 	for src, frag := range bad {
 		_, err := Parse(src)
@@ -138,6 +141,33 @@ func TestParseErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("Parse(%q) error %q missing %q", src, err, frag)
 		}
+	}
+}
+
+// TestRenderReparses: String renders a formula that parses back to the
+// same rendering, even where operators abut names or the source holds a
+// non-UTF-8 byte.
+func TestRenderReparses(t *testing.T) {
+	for src, want := range map[string]string{
+		"G x":                          "G x",
+		"G H[0,0]A":                    "G H[0µs,0µs]A",
+		"F(a && G b)":                  "F(a && (G b))",
+		"G(occupied -> F[0,5s] alarm)": "G(occupied -> F[0µs,5.000s]alarm)",
+	} {
+		f, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if got := f.String(); got != want {
+			t.Errorf("Parse(%q).String() = %q, want %q", src, got, want)
+		}
+		again, err := Parse(f.String())
+		if err != nil || again.String() != want {
+			t.Errorf("reparse of %q = %v, %v", want, again, err)
+		}
+	}
+	if _, err := Parse("\x80"); err == nil {
+		t.Error("a non-UTF-8 byte parsed as an atom")
 	}
 }
 
@@ -202,4 +232,26 @@ func TestHistoricallyPastBoundaryConvention(t *testing.T) {
 		t.Fatal("H should fail once a violation is inside the window")
 	}
 	_ = tr
+}
+
+// FuzzParse feeds arbitrary text to the formula parser: it must return an
+// error or a formula whose rendering parses back to the same rendering.
+func FuzzParse(f *testing.F) {
+	f.Add("G(occupied -> F[0,5s] alarm)")
+	f.Add("G[0,1m] !overcap && H[0,10s] door_closed")
+	f.Add("(hot U cooled) || O[250ms,inf] true -> false")
+	f.Fuzz(func(t *testing.T, src string) {
+		fm, err := Parse(src)
+		if err != nil {
+			return
+		}
+		out := fm.String()
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("rendered formula %q does not parse: %v", out, err)
+		}
+		if again.String() != out {
+			t.Fatalf("Parse→String→Parse changed %q to %q", out, again.String())
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"pervasive/internal/sim"
 )
@@ -61,9 +62,18 @@ func (p *tlParser) errorf(format string, args ...any) error {
 		fmt.Sprintf(format, args...), p.pos, p.src)
 }
 
+// isIdentStart reports whether r may begin an atom name.
+func isIdentStart(r rune) bool { return unicode.IsLetter(r) || r == '_' }
+
+// next lexes one token. The source is decoded as UTF-8, so every token is
+// a substring of it and an atom renders back exactly as it was written.
 func (p *tlParser) next() {
-	for p.off < len(p.src) && unicode.IsSpace(rune(p.src[p.off])) {
-		p.off++
+	for p.off < len(p.src) {
+		r, size := utf8.DecodeRuneInString(p.src[p.off:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		p.off += size
 	}
 	p.pos = p.off
 	if p.off >= len(p.src) {
@@ -71,12 +81,16 @@ func (p *tlParser) next() {
 		return
 	}
 	c := p.src[p.off]
+	r, size := utf8.DecodeRuneInString(p.src[p.off:])
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
-		j := p.off
-		for j < len(p.src) && (unicode.IsLetter(rune(p.src[j])) ||
-			unicode.IsDigit(rune(p.src[j])) || p.src[j] == '_') {
-			j++
+	case isIdentStart(r):
+		j := p.off + size
+		for j < len(p.src) {
+			r, size := utf8.DecodeRuneInString(p.src[j:])
+			if !isIdentStart(r) && !unicode.IsDigit(r) {
+				break
+			}
+			j += size
 		}
 		p.tok = p.src[p.off:j]
 		p.off = j
@@ -96,8 +110,8 @@ func (p *tlParser) next() {
 				return
 			}
 		}
-		p.tok = string(c)
-		p.off++
+		p.tok = p.src[p.off : p.off+size]
+		p.off += size
 	}
 }
 
@@ -244,12 +258,18 @@ var durUnits = map[string]sim.Duration{
 	"s": sim.Second, "m": sim.Minute, "h": sim.Hour,
 }
 
+// maxDur bounds window durations (about 146,000 years) so a parsed bound
+// always fits sim.Duration.
+const maxDur = sim.Duration(1) << 62
+
+// parseDur reads a number token and an optional unit. Only digit tokens
+// are numbers: ParseFloat alone would also accept "inf" and "NaN".
 func (p *tlParser) parseDur() (sim.Duration, error) {
 	if p.tok == "" {
 		return 0, p.errorf("expected duration")
 	}
 	v, err := strconv.ParseFloat(p.tok, 64)
-	if err != nil {
+	if c := p.tok[0]; err != nil || !(c >= '0' && c <= '9' || c == '.') {
 		return 0, p.errorf("bad duration %q", p.tok)
 	}
 	p.next()
@@ -258,7 +278,11 @@ func (p *tlParser) parseDur() (sim.Duration, error) {
 		unit = u
 		p.next()
 	}
-	return sim.Duration(v*float64(unit) + 0.5), nil
+	d := v*float64(unit) + 0.5
+	if d >= float64(maxDur) {
+		return 0, p.errorf("duration out of range")
+	}
+	return sim.Duration(d), nil
 }
 
 func (p *tlParser) parsePrim() (Formula, error) {
@@ -275,7 +299,7 @@ func (p *tlParser) parsePrim() (Formula, error) {
 		return f, nil
 	case p.tok == "":
 		return nil, p.errorf("unexpected end of formula")
-	case unicode.IsLetter(rune(p.tok[0])) || p.tok[0] == '_':
+	case isIdentStart(firstRune(p.tok)):
 		name := p.tok
 		p.next()
 		switch name {
@@ -287,4 +311,9 @@ func (p *tlParser) parsePrim() (Formula, error) {
 		return Atom(name), nil
 	}
 	return nil, p.errorf("unexpected %q", p.tok)
+}
+
+func firstRune(s string) rune {
+	r, _ := utf8.DecodeRuneInString(s)
+	return r
 }

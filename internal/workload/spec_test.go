@@ -102,3 +102,18 @@ func TestSpecGeneratorSeedOverride(t *testing.T) {
 		t.Fatal("explicit generator seed should override the spec seed")
 	}
 }
+
+// FuzzParseSpec feeds arbitrary text to the spec parser: it must return
+// an error or a spec, never panic.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(exampleSpec)
+	f.Add("seed 0x10\nhorizon 1h\ngenerator walk obj=6 w=100 h=60 speed=1.5 tick=500ms # c\n")
+	f.Add("generator hall doors=4 arrival=500ms stay=100s initial=10\nobjects -1\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		sp, err := ParseSpec(src)
+		if err != nil {
+			return
+		}
+		_ = sp.MaxObject()
+	})
+}
