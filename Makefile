@@ -74,13 +74,15 @@ $(addprefix bench-,$(BENCH_SUITES)): bench-%:
 	$(GO) run ./cmd/bench $*
 
 # Ten seconds of fuzzing on each hostile-input decoder (the workload
-# trace codec, the strobe-stamp batch codec and the checker-tree sync
-# batch) and on each text parser (fault plans, predicates, temporal-logic
-# formulas and workload specs). CI runs it in the test job.
+# trace codec, the strobe-stamp batch codec, the checker-tree sync
+# batch and the flight dump JSONL) and on each text parser (fault
+# plans, predicates, temporal-logic formulas and workload specs). CI
+# runs it in the test job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStampBatch$$' -fuzztime 10s ./internal/clock/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/checker/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSONL$$' -fuzztime 10s ./internal/flight/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/faults/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/predicate/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/tl/

@@ -79,18 +79,22 @@ func DefaultConfig() Config {
 			m + "/internal/network",
 		},
 		// The bench-proven kernels: DES schedule/step (BENCH_kernel's
-		// 0 allocs/op), the strobe stamp/merge kernels, the checker
-		// tree's O(1) incremental clause evaluation, and the workload
-		// trace codec's per-event primitives.
+		// 0 allocs/op) and cross-shard staging, the strobe stamp/merge
+		// kernels, the checker tree's O(1) incremental clause
+		// evaluation, the workload trace codec's per-event primitives,
+		// and the transports' per-transmission send paths.
 		HotFuncs: []string{
 			m + "/internal/sim.Engine.AtPri",
 			m + "/internal/sim.Engine.Step",
+			m + "/internal/sim.Shards.CrossFrom",
 			m + "/internal/clock.DiffStrobeVector.Strobe",
 			m + "/internal/clock.Vector.MergeSparse",
 			m + "/internal/clock.SparseStrobeVector.OnStrobe",
 			m + "/internal/checker.Tree.applyDelta",
 			m + "/internal/workload.appendUvarint",
 			m + "/internal/workload.decoder.uvarint",
+			m + "/internal/network.Net.transmit",
+			m + "/internal/network.ShardPart.route",
 		},
 		CodecPkgs: []string{
 			m + "/internal/workload",

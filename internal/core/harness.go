@@ -289,9 +289,12 @@ func (h *Harness) truthPred() world.StatePredicate {
 		byVar[predicate.Key{Proc: b.Proc, Name: b.Var}] = b
 	}
 	pred := h.Cfg.Pred
-	n := h.Cfg.N
+	// One adapter serves every instant: boxing a fresh worldState into
+	// predicate.State per evaluation would allocate once per log instant.
+	st := &worldState{n: h.Cfg.N, byVar: byVar}
 	return func(get func(obj int, attr string) float64) bool {
-		return pred.Holds(worldState{n: n, byVar: byVar, get: get})
+		st.get = get
+		return pred.Holds(st)
 	}
 }
 

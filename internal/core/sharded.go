@@ -244,12 +244,21 @@ func NewShardedHarness(cfg ShardedConfig) *ShardedHarness {
 		}
 	}
 	h.Events = src.Events(cfg.Horizon)
-	parts := make([][]workload.Event, cfg.Shards)
+	// Partition in two passes, counting first, so each shard's slice is
+	// made at its exact size instead of grown by appends.
+	counts := make([]int, cfg.Shards)
 	for _, ev := range h.Events {
 		if ev.Obj < 0 || ev.Obj >= cfg.N {
 			panic(fmt.Sprintf("core: workload event targets object %d; fleet objects are 0..%d",
 				ev.Obj, cfg.N-1))
 		}
+		counts[smap.Of(ev.Obj)]++
+	}
+	parts := make([][]workload.Event, cfg.Shards)
+	for k, c := range counts {
+		parts[k] = make([]workload.Event, 0, c)
+	}
+	for _, ev := range h.Events {
 		k := smap.Of(ev.Obj)
 		ev.Obj -= h.objBase[k] // global sensor index -> shard-local object
 		parts[k] = append(parts[k], ev)
@@ -435,9 +444,11 @@ func (h *ShardedHarness) mergedPilotLog() []world.Event {
 // truthPred adapts the pilot predicate to ground-truth world values: the
 // binding is identity (sensor i senses object i's "p" as variable "p").
 func (h *ShardedHarness) truthPred() world.StatePredicate {
-	pred, n := h.Pred, h.Cfg.N
+	pred := h.Pred
+	st := &shardTruthState{n: h.Cfg.N} // one adapter for every instant (see Harness.truthPred)
 	return func(get func(obj int, attr string) float64) bool {
-		return pred.Holds(shardTruthState{n: n, get: get})
+		st.get = get
+		return pred.Holds(st)
 	}
 }
 

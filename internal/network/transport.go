@@ -99,6 +99,52 @@ type Net struct {
 	// flightRec, when non-nil, records every delivery (Recv) and drop
 	// (Drop) at the destination's ring. Nil costs one branch per event.
 	flightRec *flight.Recorder
+
+	// slots is the free list of delivery slots that direct, duplicate
+	// and flood-hop deliveries are scheduled through.
+	slots *slot
+}
+
+// slot is one pooled delivery: the message in flight and the handler the
+// engine runs when it lands. fire is bound once, when the slot is made,
+// so scheduling a delivery through a reused slot allocates nothing; a
+// free list therefore grows to the peak number of deliveries in flight
+// and stays there. A free list belongs to one goroutine's engine.
+type slot struct {
+	m     Message
+	flood bool // a flood hop: dedup, deliver, relay (Net only)
+	fire  sim.Handler
+	next  *slot
+}
+
+// newSlot makes a slot whose handler, bound here once, runs fire on it.
+//
+//lint:allow hotpath(amortized growth: a transport makes a slot only when its free list is empty, so it stops at the peak number of deliveries in flight)
+func newSlot(fire func(*slot, sim.Time)) *slot {
+	s := new(slot)
+	s.fire = func(now sim.Time) { fire(s, now) }
+	return s
+}
+
+// take pops a slot off the free list l, or returns nil when it is empty.
+func take(l **slot) *slot {
+	s := *l
+	if s != nil {
+		*l = s.next
+		s.next = nil
+	}
+	return s
+}
+
+// drain copies the slot's message out, zeroes the slot (dropping the
+// payload reference) and pushes it back onto the free list l. It runs
+// before the delivery does, so the handler may reuse the slot at once.
+func (s *slot) drain(l **slot) (Message, bool) {
+	m, flood := s.m, s.flood
+	s.m, s.flood = Message{}, false
+	s.next = *l
+	*l = s
+	return m, flood
 }
 
 // SetObs attaches runtime metrics: per-link sends, deliveries, drops
@@ -298,17 +344,41 @@ func (nt *Net) transmit(m Message) {
 	}
 	d = nt.shapeDelay(d, now)
 	nt.obsDelay.Observe(float64(d))
-	nt.eng.AtPri(now+d, DeliveryPri, func(now sim.Time) { nt.deliver(m, now) })
+	nt.schedule(now+d, &m, false)
 	if f := nt.fault; f != nil {
 		// Duplicate window: re-deliver with an independently sampled
 		// delay. The checker's Seq discipline must absorb the copy.
 		if p := f.DupProb(now); p > 0 && nt.rng.Bool(p) {
 			if d2, dropped2 := sim.SampleDelay(nt.delay, nt.rng, now, m.From, m.Dst); !dropped2 {
 				f.Counts.Duplicates.Add(1)
-				nt.eng.AtPri(now+nt.shapeDelay(d2, now), DeliveryPri, func(now sim.Time) { nt.deliver(m, now) })
+				nt.schedule(now+nt.shapeDelay(d2, now), &m, false)
 			}
 		}
 	}
+}
+
+// schedule queues the delivery of *m at time at through a pooled slot,
+// under the same (at, DeliveryPri) key as any other delivery; flood
+// marks a flood hop. m is passed by pointer so the 88-byte Message is
+// copied once, into the slot.
+func (nt *Net) schedule(at sim.Time, m *Message, flood bool) {
+	s := take(&nt.slots)
+	if s == nil {
+		s = newSlot(nt.fire)
+	}
+	s.m, s.flood = *m, flood
+	nt.eng.AtPri(at, DeliveryPri, s.fire)
+}
+
+// fire runs a slot's delivery. The slot is back on the free list before
+// the handler runs, so the handler's own sends may reuse it.
+func (nt *Net) fire(s *slot, now sim.Time) {
+	m, flood := s.drain(&nt.slots)
+	if flood {
+		nt.landHop(m, now)
+		return
+	}
+	nt.deliver(m, now)
 }
 
 func (nt *Net) deliver(m Message, now sim.Time) {
@@ -381,26 +451,31 @@ func (nt *Net) relay(m Message) {
 		d = nt.shapeDelay(d, now)
 		nt.obsDelay.Observe(float64(d))
 		nt.inflight[hop.ID]++
-		nt.eng.AtPri(now+d, DeliveryPri, func(now sim.Time) {
-			defer nt.flightDone(hop.ID)
-			if nt.seen[hop.Dst][hop.ID] {
-				return // duplicate arrived first via another path
-			}
-			if f := nt.fault; f != nil && f.Down(hop.Dst, now) {
-				nt.countDrop() // crashed receivers neither deliver nor relay
-				f.Counts.CrashDrops.Add(1)
-				if nt.flightRec != nil {
-					nt.recordFlight(flight.Drop, &hop, now)
-				}
-				return
-			}
-			nt.seen[hop.Dst][hop.ID] = true
-			nt.handle(hop, now)
-			next := hop
-			next.From = hop.Dst
-			nt.relay(next)
-		})
+		nt.schedule(now+d, &hop, true)
 	}
+}
+
+// landHop lands one flood copy at hop.Dst: a copy that lost the race to
+// another path is discarded, otherwise the receiver consumes the message
+// and re-relays it. Either way the copy releases its inflight reference.
+func (nt *Net) landHop(hop Message, now sim.Time) {
+	defer nt.flightDone(hop.ID)
+	if nt.seen[hop.Dst][hop.ID] {
+		return // duplicate arrived first via another path
+	}
+	if f := nt.fault; f != nil && f.Down(hop.Dst, now) {
+		nt.countDrop() // crashed receivers neither deliver nor relay
+		f.Counts.CrashDrops.Add(1)
+		if nt.flightRec != nil {
+			nt.recordFlight(flight.Drop, &hop, now)
+		}
+		return
+	}
+	nt.seen[hop.Dst][hop.ID] = true
+	nt.handle(hop, now)
+	next := hop
+	next.From = hop.Dst
+	nt.relay(next)
 }
 
 // flightDone releases one scheduled copy of a flood message; the last
